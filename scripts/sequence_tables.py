@@ -17,12 +17,7 @@ def main() -> None:
 
     for name in sorted(sq.SEQUENCE_NAMES):
         print(f"== {name} ==")
-        try:
-            values = sq.sequence(name, args.n).values
-        except ValueError as exc:          # finite reference lists
-            print(f"   ({exc})")
-            continue
-        for k, v in enumerate(values):
+        for k, v in enumerate(sq.sequence(name, args.n).values):
             print(f"  n={k:>3}  {str(v):>24}  = {float(v):.12g}")
         print()
 

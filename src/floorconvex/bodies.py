@@ -1,19 +1,25 @@
-"""Convex bodies with a flat floor: 2D sub-prisms, 3D mountains, prisms,
-frustums and the reference tetrahedron.
+"""Convex bodies with a flat floor, of two kinds.
+
+- SubPrism2D: the 2D region under a concave top function over [0, 1].
+- LinearLayerBody: CH(F x {0}, (a + c F) x {H}), the hull of a floor F and
+  its copy dilated by c and shifted by a at height H.  Its layers dilate
+  linearly from F to the top.  c = 0 gives a mountain CH(F + apex), c = 1
+  a prism F x [0, H], any other c a frustum; the reference tetrahedron is
+  the mountain over a triangle with its apex above a floor vertex.
 
 Constructors normalize to unit volume (and, except for the frustum and the
 tetrahedron, to unit floor volume); the applied scales are recorded.  Floor
-polygons are stored with their centroid at the origin.
+polygons are stored with their centroid at the origin, except the
+tetrahedron's, which keeps its reference coordinates.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
                            constant_top, mountain_top, triangle_top)
@@ -81,66 +87,49 @@ class SubPrism2D:
     top: TopFunction
     dimension = 2
     kind = "subprism2d"
-
-    @property
-    def floor(self):
-        return ((0.0, 0.0), (1.0, 0.0))
+    floor = ((0.0, 0.0), (1.0, 0.0))
+    floor_vol = 1.0
 
 
 @dataclass(frozen=True)
-class Mountain3D:
-    """CH(floor polygon + apex); floor area 1, apex height 3 for unit volume."""
+class LinearLayerBody:
+    """CH(F x {0}, (a + c F) x {H}).
+
+    The layer at height t is (t/H) a + lam(t) F with
+    lam(t) = 1 + (c - 1) t / H.  floor is F: the endpoints of a segment on
+    the x-axis in 2D, a ccw polygon in 3D.  kind names the family for the
+    JSON descriptor; h and scale are the frustum's pre-scale height and the
+    factor applied to all its coordinates.
+    """
+    kind: str
     floor: tuple
-    apex: tuple = (0.0, 0.0, 3.0)
-    dimension = 3
-    kind = "mountain"
+    c: float
+    H: float
+    a: tuple = (0.0, 0.0)
+    h: float | None = None
+    scale: float = 1.0
+    dimension: int = field(init=False)
+    floor_vol: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.apex[2] - 3.0) > 1e-9:
-            raise ValueError("unit-volume mountain over a unit floor has apex height 3")
+        if len(self.floor) == 2:
+            dim, vol = 2, self.floor[1][0] - self.floor[0][0]
+        else:
+            dim, vol = 3, polygon_area(self.floor)
+        object.__setattr__(self, "dimension", dim)
+        object.__setattr__(self, "floor_vol", vol)
 
 
-@dataclass(frozen=True)
-class Prism3D:
-    """floor x [0, 1]; floor area 1."""
-    floor: tuple
-    dimension = 3
-    kind = "prism"
+BodyWithFloor = SubPrism2D | LinearLayerBody
 
 
-@dataclass(frozen=True)
-class Frustum:
-    """CH(F x {0}, c F x {h}), isotropically rescaled to unit volume.
-
-    h and c are the pre-scale parameters; scale is the factor applied to all
-    coordinates.  In 2D the floor is the segment [-1/2, 1/2] and scale is 1.
-    """
-    dimension: int
-    h: float
-    c: float
-    scale: float
-    floor: tuple  # polygon (3D) or segment endpoints (2D), post-scale
-
-    kind = "frustum"
+def _unit_floor(floor_polygon):
+    if floor_polygon is None:
+        return UNIT_SQUARE_FLOOR
+    return normalize_floor_polygon(floor_polygon)[0]
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
-    """Reference tetrahedron (0,0,0),(1,0,0),(0,1,0),(0,0,6):
-    unit volume, floor area 1/2, apex height 6."""
-    dimension = 3
-    kind = "tetrahedron"
-    vertices = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 6.0))
-
-    @property
-    def floor(self):
-        return ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-
-
-BodyWithFloor = SubPrism2D | Mountain3D | Prism3D | Frustum | Tetrahedron
-
-
-def frustum(h: float, d: int, floor_polygon=None) -> BodyWithFloor | Frustum:
+def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
     """Unit-volume frustum with top dilation c_h = (2/h - 1)^(1/(d-1)).
 
     The hull of the two bases has volume slightly below 1 in 3D, so the body
@@ -152,58 +141,54 @@ def frustum(h: float, d: int, floor_polygon=None) -> BodyWithFloor | Frustum:
         raise ValueError("dimension must be 2 or 3")
     c = (2.0 / h - 1.0) ** (1.0 / (d - 1))
     if abs(c - 1.0) < 1e-12:
-        vol = h
+        c, vol = 1.0, h
     else:
         vol = h * (c ** d - 1.0) / (d * (c - 1.0))
     s = vol ** (-1.0 / d)
     if d == 2:
         floor = ((-0.5 * s, 0.0), (0.5 * s, 0.0))
     else:
-        poly = UNIT_SQUARE_FLOOR if floor_polygon is None else normalize_floor_polygon(floor_polygon)[0]
-        floor = tuple((x * s, y * s) for (x, y) in poly)
-    return Frustum(dimension=d, h=h, c=c, scale=s, floor=floor)
+        floor = tuple((x * s, y * s) for (x, y) in _unit_floor(floor_polygon))
+    return LinearLayerBody("frustum", floor, c, h * s, a=(0.0,) * (d - 1),
+                           h=h, scale=s)
 
 
-def mountain3d(floor_polygon=None, apex_xy=(0.0, 0.0)) -> Mountain3D:
-    poly = UNIT_SQUARE_FLOOR if floor_polygon is None else normalize_floor_polygon(floor_polygon)[0]
-    return Mountain3D(floor=poly, apex=(apex_xy[0], apex_xy[1], 3.0))
+def mountain3d(floor_polygon=None, apex_xy=(0.0, 0.0)) -> LinearLayerBody:
+    """CH(floor + apex); floor area 1, apex height 3 for unit volume."""
+    return LinearLayerBody("mountain", _unit_floor(floor_polygon), 0.0, 3.0,
+                           a=tuple(apex_xy))
 
 
-def prism3d(floor_polygon=None) -> Prism3D:
-    poly = UNIT_SQUARE_FLOOR if floor_polygon is None else normalize_floor_polygon(floor_polygon)[0]
-    return Prism3D(floor=poly)
+def prism3d(floor_polygon=None) -> LinearLayerBody:
+    """floor x [0, 1]; floor area 1."""
+    return LinearLayerBody("prism", _unit_floor(floor_polygon), 1.0, 1.0)
+
+
+def tetrahedron() -> LinearLayerBody:
+    """Reference tetrahedron (0,0,0), (1,0,0), (0,1,0), (0,0,6): unit
+    volume, floor area 1/2, apex height 6 above the floor vertex (0, 0)."""
+    return LinearLayerBody("tetrahedron", ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                           0.0, 6.0)
 
 
 # ---------------------------------------------------------------------------
 # Layer and below-level volumes
 
+def layer_dilation(body: LinearLayerBody, t):
+    """lam(t) = 1 + (c - 1) t / H, the dilation of the floor in the layer at
+    height t (t may be an array)."""
+    return 1.0 + (body.c - 1.0) * t / body.H
+
+
 def max_height(body: BodyWithFloor) -> float:
     if isinstance(body, SubPrism2D):
         return body.top.max_height()
-    if isinstance(body, Mountain3D):
-        return 3.0
-    if isinstance(body, Prism3D):
-        return 1.0
-    if isinstance(body, Frustum):
-        return body.h * body.scale
-    if isinstance(body, Tetrahedron):
-        return 6.0
-    raise TypeError(f"unsupported body {body!r}")
+    return body.H
 
 
 def floor_volume(body: BodyWithFloor) -> float:
     """(d-1)-volume of the floor (length in 2D, area in 3D)."""
-    if isinstance(body, SubPrism2D):
-        return 1.0
-    if isinstance(body, (Mountain3D, Prism3D)):
-        return polygon_area(body.floor)
-    if isinstance(body, Frustum):
-        if body.dimension == 2:
-            return body.floor[1][0] - body.floor[0][0]
-        return polygon_area(body.floor)
-    if isinstance(body, Tetrahedron):
-        return 0.5
-    raise TypeError(f"unsupported body {body!r}")
+    return body.floor_vol
 
 
 def layer_volume(body: BodyWithFloor, t: float) -> float:
@@ -214,16 +199,7 @@ def layer_volume(body: BodyWithFloor, t: float) -> float:
         return 0.0
     if isinstance(body, SubPrism2D):
         return body.top.level_width(t)
-    if isinstance(body, Mountain3D):
-        return (1.0 - t / 3.0) ** 2
-    if isinstance(body, Prism3D):
-        return 1.0
-    if isinstance(body, Frustum):
-        lam = 1.0 + (body.c - 1.0) * t / (body.h * body.scale)
-        return body.scale ** (body.dimension - 1) * lam ** (body.dimension - 1)
-    if isinstance(body, Tetrahedron):
-        return 0.5 * (1.0 - t / 6.0) ** 2
-    raise TypeError(f"unsupported body {body!r}")
+    return body.floor_vol * layer_dilation(body, t) ** (body.dimension - 1)
 
 
 def below_volume(body: BodyWithFloor, t: float) -> float:
@@ -233,42 +209,24 @@ def below_volume(body: BodyWithFloor, t: float) -> float:
     t = min(t, max_height(body))
     if isinstance(body, SubPrism2D):
         return 1.0 - body.top.area_above(t)
-    if isinstance(body, Mountain3D):
-        return 1.0 - (1.0 - t / 3.0) ** 3
-    if isinstance(body, Prism3D):
-        return t
-    if isinstance(body, Frustum):
-        d, s = body.dimension, body.scale
-        hs = body.h * s
-        if abs(body.c - 1.0) < 1e-12:
-            return s ** (d - 1) * t
-        lam = 1.0 + (body.c - 1.0) * t / hs
-        return s ** (d - 1) * hs * (lam ** d - 1.0) / (d * (body.c - 1.0))
-    if isinstance(body, Tetrahedron):
-        return 1.0 - (1.0 - t / 6.0) ** 3
-    raise TypeError(f"unsupported body {body!r}")
+    if body.c == 1.0:
+        return body.floor_vol * t
+    d = body.dimension
+    return (body.floor_vol * body.H * (layer_dilation(body, t) ** d - 1.0)
+            / (d * (body.c - 1.0)))
 
 
 def mean_height(body: BodyWithFloor) -> float:
-    """Exact expected height of a uniform point (closed forms per kind)."""
+    """Exact expected height of a uniform point in a unit-volume body."""
     if isinstance(body, SubPrism2D):
         return float(body.top.integral_sq()) / 2
-    if isinstance(body, Mountain3D):
-        return 0.75
-    if isinstance(body, Prism3D):
-        return 0.5
-    if isinstance(body, Tetrahedron):
-        return 1.5
-    if isinstance(body, Frustum):
-        d, s, c = body.dimension, body.scale, body.c
-        hs = body.h * s
-        if abs(c - 1.0) < 1e-12:
-            return hs / 2
-        # int t lam(t)^(d-1) dt over [0, hs] with lam = 1 + (c-1) t / hs
-        inner = (hs / (c - 1.0)) ** 2 * ((c ** (d + 1) - 1.0) / (d + 1)
-                                         - (c ** d - 1.0) / d)
-        return s ** (d - 1) * inner
-    raise TypeError(f"unsupported body {body!r}")
+    d, c, H = body.dimension, body.c, body.H
+    if c == 1.0:
+        return body.floor_vol * H * H / 2
+    # int t lam(t)^(d-1) dt over [0, H], substituting lam for t
+    inner = (H / (c - 1.0)) ** 2 * ((c ** (d + 1) - 1.0) / (d + 1)
+                                    - (c ** d - 1.0) / d)
+    return body.floor_vol * inner
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +255,18 @@ def _top_from_json(d: dict) -> TopFunction:
 
 
 def body_to_json(body: BodyWithFloor) -> dict:
+    """Descriptor that body_from_json turns back into the body: the kind and
+    the arguments of its constructor."""
     d = {"kind": body.kind, "dimension": body.dimension}
     if isinstance(body, SubPrism2D):
         d["top"] = _top_to_json(body.top)
-    elif isinstance(body, Mountain3D):
-        d["floor"] = [list(v) for v in body.floor]
-        d["apex"] = list(body.apex)
-    elif isinstance(body, Prism3D):
-        d["floor"] = [list(v) for v in body.floor]
-    elif isinstance(body, Frustum):
+        return d
+    if body.h is not None:
         d["h"] = body.h
-        if body.dimension == 3:
-            d["floor"] = [list(v) for v in body.floor]
+    if body.dimension == 3 and body.kind != "tetrahedron":
+        d["floor"] = [list(v) for v in body.floor]
+    if body.kind == "mountain":
+        d["apex"] = [*body.a, body.H]
     return d
 
 
@@ -325,7 +283,7 @@ def body_from_json(d: dict) -> BodyWithFloor:
     if kind == "frustum":
         return frustum(d["h"], d["dimension"], d.get("floor"))
     if kind == "tetrahedron":
-        return Tetrahedron()
+        return tetrahedron()
     raise ValueError(f"unknown body kind {kind!r}")
 
 
@@ -336,7 +294,7 @@ BUILTIN_BODIES = {
     "mountain2d": lambda: SubPrism2D(mountain_top(Fraction(1, 2))),
     "mountain3d": mountain3d,
     "prism3d": prism3d,
-    "tetrahedron": Tetrahedron,
+    "tetrahedron": tetrahedron,
 }
 
 
@@ -353,10 +311,8 @@ def builtin_body(name: str) -> BodyWithFloor:
 
 
 def load_body(spec: str) -> BodyWithFloor:
-    """Builtin name or path to a JSON descriptor file."""
-    try:
-        return builtin_body(spec)
-    except ValueError:
-        pass
-    with open(spec) as fh:
-        return body_from_json(json.load(fh))
+    """Path to a JSON descriptor file, or else a builtin name."""
+    if os.path.exists(spec):
+        with open(spec) as fh:
+            return body_from_json(json.load(fh))
+    return builtin_body(spec)

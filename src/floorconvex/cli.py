@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -18,8 +19,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__, harness, mc
-from .bodies import (below_volume, body_from_json, body_to_json, builtin_body,
-                     floor_volume, layer_volume, load_body, max_height)
+from .bodies import (below_volume, body_to_json, floor_volume, layer_volume,
+                     load_body, max_height)
 from .decomposition import q_decomp
 from .sequences import SEQUENCE_NAMES, sequence
 from .topfunctions import QuadraticTop, constant_top, triangle_top
@@ -58,6 +59,22 @@ def _manifest(args, started: str, seed=None) -> dict:
 def _rational(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator),
             "decimal": float(x)}
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int-to-decimal conversion (4300 digits
+    by default; ell_n passes it near n = 150) and restore it afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:           # interpreters before 3.10.7 have no limit
+        yield
+        return
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _emit(payload: dict, args) -> None:
@@ -110,7 +127,8 @@ def cmd_exact(args) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
     seq = sequence(args.seq, args.n)
-    rows = [{"index": i, **_rational(v)} for i, v in enumerate(seq.values)]
+    with _unlimited_int_digits():
+        rows = [{"index": i, **_rational(v)} for i, v in enumerate(seq.values)]
     payload = {"sequence": seq.name, "method": seq.method, "rows": rows,
                "manifest": _manifest(args, started)}
     _emit(payload, args)
@@ -202,12 +220,8 @@ def cmd_verify(args) -> int:
 def cmd_body(args) -> int:
     started = _now()
     try:
-        if os.path.exists(args.body):
-            with open(args.body) as fh:
-                body = body_from_json(json.load(fh))
-        else:
-            body = builtin_body(args.body)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        body = load_body(args.body)
+    except (ValueError, KeyError) as exc:
         raise CliError(f"bad body descriptor: {exc}")
     hm = max_height(body)
     table = []

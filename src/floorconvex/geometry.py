@@ -1,5 +1,6 @@
-"""Robust low-level geometry: orientation predicates, 2D/3D convex hulls and
-the "in convex position together with the floor" predicates.
+"""Robust low-level geometry: orientation predicates, the 2D convex hull, 3D
+hull containment and the "in convex position together with the floor"
+predicates.
 
 All predicates run a filtered floating-point evaluation first and escalate to
 exact rational arithmetic when the computed determinant falls inside the
@@ -10,7 +11,7 @@ fallbacks always use the original coordinate values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 _EPS = 2.220446049250313e-16
@@ -116,118 +117,8 @@ def convex_hull_2d(points) -> Hull2:
     return Hull2(tuple(verts))
 
 
-def point_in_hull_2d(p: Point, points) -> bool:
-    """Weak containment: True when p lies inside or on conv(points)."""
-    hull = convex_hull_2d(points)
-    v = hull.vertices
-    if hull.degenerate:
-        if len(v) == 1:
-            return _frac(p) == _frac(v[0])
-        # on the segment [v0, v1]
-        if orient2(v[0], v[1], p) != 0:
-            return False
-        f0, f1, fp = _frac(v[0]), _frac(v[1]), _frac(p)
-        lo, hi = min(f0, f1), max(f0, f1)
-        return lo <= fp <= hi
-    n = len(v)
-    return all(orient2(v[i], v[(i + 1) % n], p) >= 0 for i in range(n))
-
-
 # ---------------------------------------------------------------------------
-# 3D hull (incremental, triangular facets with outward orientation)
-
-@dataclass(frozen=True)
-class Hull3:
-    vertices: tuple                 # strict vertex set (no fixed order)
-    facets: tuple                   # triples of vertex indices, outward ccw
-    degenerate: bool = False        # input affinely degenerate (coplanar)
-
-
-def _initial_simplex(pts):
-    """Indices of four affinely independent points, or None."""
-    i0 = 0
-    i1 = next((i for i in range(len(pts)) if _frac(pts[i]) != _frac(pts[i0])), None)
-    if i1 is None:
-        return None
-    i2 = None
-    for i in range(len(pts)):
-        if i in (i0, i1):
-            continue
-        d = pts[i]
-        # non-collinear test via 3D cross product sign-free: use orient3 with a lift
-        u = tuple(Fraction(pts[i1][k]) - Fraction(pts[i0][k]) for k in range(3))
-        v = tuple(Fraction(d[k]) - Fraction(pts[i0][k]) for k in range(3))
-        cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                 u[0] * v[1] - u[1] * v[0])
-        if any(c != 0 for c in cross):
-            i2 = i
-            break
-    if i2 is None:
-        return None
-    i3 = next((i for i in range(len(pts))
-               if i not in (i0, i1, i2)
-               and orient3(pts[i0], pts[i1], pts[i2], pts[i]) != 0), None)
-    if i3 is None:
-        return None
-    return i0, i1, i2, i3
-
-
-def convex_hull_3d(points) -> Hull3:
-    pts = _dedupe(points)
-    if len(pts) < 4:
-        raise ValueError("convex_hull_3d needs at least 4 distinct points")
-    pts.sort(key=_frac)
-    simplex = _initial_simplex(pts)
-    if simplex is None:
-        strict = [p for i, p in enumerate(pts)
-                  if not _in_conv_affinely_dependent(p, pts[:i] + pts[i + 1:])]
-        return Hull3(tuple(strict), (), degenerate=True)
-    i0, i1, i2, i3 = simplex
-    if orient3(pts[i0], pts[i1], pts[i2], pts[i3]) > 0:
-        facets = [(i0, i2, i1), (i0, i1, i3), (i1, i2, i3), (i2, i0, i3)]
-    else:
-        facets = [(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)]
-    saw_zero = False
-    used = {i0, i1, i2, i3}
-    for i in range(len(pts)):
-        if i in used:
-            continue
-        p = pts[i]
-        visible = []
-        for f in facets:
-            s = orient3(pts[f[0]], pts[f[1]], pts[f[2]], p)
-            if s > 0:
-                visible.append(f)
-            elif s == 0:
-                saw_zero = True
-        if not visible:
-            continue  # weakly inside the current hull
-        vis = set(visible)
-        edge_count = {}
-        for (a, b, c) in visible:
-            for e in ((a, b), (b, c), (c, a)):
-                edge_count[frozenset(e)] = edge_count.get(frozenset(e), 0) + 1
-        horizon = []
-        for (a, b, c) in visible:
-            for e in ((a, b), (b, c), (c, a)):
-                if edge_count[frozenset(e)] == 1:
-                    horizon.append(e)
-        facets = [f for f in facets if f not in vis]
-        for (a, b) in horizon:
-            facets.append((a, b, i))
-        used.add(i)
-    ref = sorted({j for f in facets for j in f})
-    if saw_zero:
-        # coplanar events can leave non-strict vertices referenced; filter and
-        # rebuild on the strict set
-        strict = [j for j in ref
-                  if not point_in_conv_3d(pts[j], [pts[k] for k in ref if k != j])]
-        if len(strict) < len(ref):
-            return convex_hull_3d([pts[j] for j in strict])
-    remap = {j: k for k, j in enumerate(ref)}
-    return Hull3(tuple(pts[j] for j in ref),
-                 tuple((remap[a], remap[b], remap[c]) for (a, b, c) in facets))
-
+# 3D hull containment
 
 def point_in_conv_3d(p: Point, points) -> bool:
     """Weak containment in conv(points) for a small 3D point set.

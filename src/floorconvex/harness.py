@@ -342,10 +342,7 @@ def run_suites(names, seed: int = 0, trials: int | None = None,
         fn = SUITES[name]
         kwargs = {"seed": seed}
         if trials is not None:
-            if name == "tetra_sandwich":
-                kwargs["n_max"] = max(trials, 2)
-            else:
-                kwargs["trials"] = trials
+            kwargs["trials"] = trials
         if samples is not None:
             kwargs["samples"] = samples
         reports.append(fn(**kwargs))

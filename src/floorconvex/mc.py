@@ -19,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry
-from .bodies import (BodyWithFloor, Frustum, SubPrism2D, floor_volume,
-                     mountain3d)
+from .bodies import BodyWithFloor, floor_volume, mountain3d
 from .samplers import (RngStream, floor_radius_batch, sample_body,
                        sample_density_g1, sample_density_g2, sample_heights)
 
@@ -185,7 +184,7 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
 # Exact fallbacks for ambiguous trials
 
 def _exact_convex_position_2d(points) -> bool:
-    pts = geometry._dedupe([tuple(p) for p in points])
+    pts = geometry._dedupe(points)
     if len(pts) < len(points):
         return False
     hull = geometry.convex_hull_2d(pts)
@@ -202,23 +201,15 @@ def _exact_chain(points, anchor=(1, 0)) -> bool:
     return True
 
 
-def _resolve_2d_with_floor(pts: np.ndarray, floor, verdict: np.ndarray) -> int:
+def _resolve(pts: np.ndarray, verdict: np.ndarray, exact) -> int:
+    """Successes in a chunk: the certain float verdicts, plus each ambiguous
+    trial settled by exact(points).  The floor predicates raise ValueError
+    for a point exactly on the floor plane, which is never a strict vertex,
+    so that trial fails."""
     k = int(np.sum(verdict == 1))
     for i in np.nonzero(verdict == -1)[0]:
-        sample = [tuple(p) for p in pts[i]]
         try:
-            k += geometry.in_convex_position_with_floor_2d(sample, floor=floor)
-        except ValueError:
-            pass  # a point exactly on the floor plane is never a strict vertex
-    return k
-
-
-def _resolve_3d_with_floor(pts: np.ndarray, floor_poly, verdict: np.ndarray) -> int:
-    k = int(np.sum(verdict == 1))
-    for i in np.nonzero(verdict == -1)[0]:
-        sample = [tuple(p) for p in pts[i]]
-        try:
-            k += geometry.in_convex_position_with_floor_3d(sample, floor_poly)
+            k += exact([tuple(p) for p in pts[i]])
         except ValueError:
             pass
     return k
@@ -234,6 +225,13 @@ def _chunks(n_samples: int, chunk_size: int):
         sizes.append(min(chunk_size, left))
         left -= sizes[-1]
     return sizes
+
+
+def _check_budget(n_samples: int, workers: int) -> None:
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _run_binomial(chunk_fn, n_samples: int, seed: int, workers: int,
@@ -261,27 +259,29 @@ def estimate_Q(body: BodyWithFloor, n: int, n_samples: int, seed: int = 0,
     """P(n uniform points are in convex position with the floor)."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_budget(n_samples, workers)
     t0 = time.perf_counter()
     if n <= 1:
         return _binomial_result(n_samples, n_samples, seed, t0)
+    floor = body.floor
     if body.dimension == 2:
-        floor = body.floor
         fl = np.asarray(floor, dtype=float)
 
         def chunk(rng, size):
             pts = sample_body(body, rng, size * n).reshape(size, n, 2)
             full = np.concatenate(
                 [pts, np.broadcast_to(fl, (size,) + fl.shape)], axis=1)
-            v = convex_position_verdicts_2d(full)
-            return _resolve_2d_with_floor(pts, floor, v)
+            return _resolve(pts, convex_position_verdicts_2d(full),
+                            lambda s: geometry.in_convex_position_with_floor_2d(
+                                s, floor=floor))
     else:
-        floor_poly = body.floor
-        fxyz = np.array([[x, y, 0.0] for (x, y) in floor_poly])
+        fxyz = np.array([[x, y, 0.0] for (x, y) in floor])
 
         def chunk(rng, size):
             pts = sample_body(body, rng, size * n).reshape(size, n, 3)
-            v = convex_position_verdicts_3d(pts, fxyz)
-            return _resolve_3d_with_floor(pts, floor_poly, v)
+            return _resolve(pts, convex_position_verdicts_3d(pts, fxyz),
+                            lambda s: geometry.in_convex_position_with_floor_3d(
+                                s, floor))
 
     return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
 
@@ -291,17 +291,15 @@ def estimate_P(body: BodyWithFloor, n: int, n_samples: int, seed: int = 0,
     """P(n uniform points are in convex position), floor ignored.  2D only."""
     if body.dimension != 2:
         raise ValueError("floorless estimator is 2D only")
+    _check_budget(n_samples, workers)
     t0 = time.perf_counter()
     if n <= 3:
         return _binomial_result(n_samples, n_samples, seed, t0)
 
     def chunk(rng, size):
         pts = sample_body(body, rng, size * n).reshape(size, n, 2)
-        v = convex_position_verdicts_2d(pts)
-        k = int(np.sum(v == 1))
-        for i in np.nonzero(v == -1)[0]:
-            k += _exact_convex_position_2d(pts[i])
-        return k
+        return _resolve(pts, convex_position_verdicts_2d(pts),
+                        _exact_convex_position_2d)
 
     return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
 
@@ -312,6 +310,7 @@ def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
     """Q(2) via the cone identity: the hull of one point and the floor is a
     cone of volume floor_volume * height / d, so
     Q(2) = 1 - 2 * floor_volume * E[height] / d."""
+    _check_budget(n_samples, workers)
     t0 = time.perf_counter()
     coef = 2.0 * floor_volume(body) / body.dimension
     sizes = _chunks(n_samples, chunk_size)
@@ -341,17 +340,14 @@ def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
 
 def _chain_estimator(sampler, n: int, n_samples: int, seed: int,
                      workers: int, chunk_size: int) -> EstimateResult:
+    _check_budget(n_samples, workers)
     t0 = time.perf_counter()
     if n <= 1:
         return _binomial_result(n_samples, n_samples, seed, t0)
 
     def chunk(rng, size):
         pts = sampler(rng, size * n).reshape(size, n, 2)
-        v = chain_verdicts(pts)
-        k = int(np.sum(v == 1))
-        for i in np.nonzero(v == -1)[0]:
-            k += _exact_chain(pts[i])
-        return k
+        return _resolve(pts, chain_verdicts(pts), _exact_chain)
 
     return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
 

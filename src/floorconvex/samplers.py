@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (BodyWithFloor, Frustum, Mountain3D, Prism3D, SubPrism2D,
-                     Tetrahedron)
+from .bodies import (BodyWithFloor, LinearLayerBody, SubPrism2D,
+                     layer_dilation)
 
 
 @dataclass(frozen=True)
@@ -46,46 +46,39 @@ def sample_polygon(polygon, rng: np.random.Generator, n: int) -> np.ndarray:
 # Full-point samplers
 
 def sample_body(body: BodyWithFloor, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points in the body; shape (n, 2) in 2D, (n, 3) in 3D."""
+    """n uniform points in the body; shape (n, 2) in 2D, (n, 3) in 3D.
+
+    A linear-layer body draws the height first, then a floor point that the
+    layer at that height dilates by lam(t) and shifts by (t/H) a.
+    """
     if isinstance(body, SubPrism2D):
         x = body.top.sample_x(rng.random(n))
         y = body.top.values(x) * rng.random(n)
         return np.column_stack([x, y])
-    if isinstance(body, Mountain3D):
-        t = 3.0 * (1.0 - (1.0 - rng.random(n)) ** (1.0 / 3.0))
-        base = sample_polygon(body.floor, rng, n)
-        lam = (1.0 - t / 3.0)[:, None]
-        apex_xy = np.array(body.apex[:2])
-        xy = apex_xy + lam * (base - apex_xy)
-        return np.column_stack([xy, t])
-    if isinstance(body, Prism3D):
-        xy = sample_polygon(body.floor, rng, n)
-        return np.column_stack([xy, rng.random(n)])
-    if isinstance(body, Frustum):
-        t, lam = _frustum_height_and_dilation(body, rng.random(n))
-        if body.dimension == 2:
-            half = body.floor[1][0]
-            x = lam * half * (2.0 * rng.random(n) - 1.0)
-            return np.column_stack([x, t])
-        xy = lam[:, None] * sample_polygon(body.floor, rng, n)
-        return np.column_stack([xy, t])
-    if isinstance(body, Tetrahedron):
-        # exponential-ratio barycentric coordinates are uniform on the simplex
-        w = rng.exponential(size=(n, 4))
-        w /= w.sum(axis=1, keepdims=True)
-        return w @ np.asarray(Tetrahedron.vertices)
-    raise TypeError(f"unsupported body {body!r}")
+    t = _heights(body, rng.random(n))
+    xy = layer_dilation(body, t)[:, None] * _sample_floor(body, rng, n)
+    if any(body.a):
+        xy += (t / body.H)[:, None] * np.asarray(body.a)
+    return np.column_stack([xy, t])
 
 
-def _frustum_height_and_dilation(body: Frustum, u: np.ndarray):
-    hs = body.h * body.scale
-    if abs(body.c - 1.0) < 1e-12:
-        t = u * hs
-        return t, np.ones_like(t)
+def _sample_floor(body: LinearLayerBody, rng: np.random.Generator,
+                  n: int) -> np.ndarray:
+    """n uniform floor points: shape (n, 1) on a segment, (n, 2) in a polygon."""
+    if body.dimension == 2:
+        (x0, _), (x1, _) = body.floor
+        return (x0 + (x1 - x0) * rng.random(n))[:, None]
+    return sample_polygon(body.floor, rng, n)
+
+
+def _heights(body: LinearLayerBody, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the height: the volume below height t is proportional
+    to lam(t)^d - 1 (to t when c = 1)."""
+    if body.c == 1.0:
+        return u * body.H
     d = body.dimension
     lam = (1.0 + u * (body.c ** d - 1.0)) ** (1.0 / d)
-    t = hs * (lam - 1.0) / (body.c - 1.0)
-    return t, lam
+    return body.H * (lam - 1.0) / (body.c - 1.0)
 
 
 def sample_heights(body: BodyWithFloor, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -93,15 +86,7 @@ def sample_heights(body: BodyWithFloor, rng: np.random.Generator, n: int) -> np.
     if isinstance(body, SubPrism2D):
         x = body.top.sample_x(rng.random(n))
         return body.top.values(x) * rng.random(n)
-    if isinstance(body, Mountain3D):
-        return 3.0 * (1.0 - (1.0 - rng.random(n)) ** (1.0 / 3.0))
-    if isinstance(body, Prism3D):
-        return rng.random(n)
-    if isinstance(body, Frustum):
-        return _frustum_height_and_dilation(body, rng.random(n))[0]
-    if isinstance(body, Tetrahedron):
-        return 6.0 * (1.0 - (1.0 - rng.random(n)) ** (1.0 / 3.0))
-    raise TypeError(f"unsupported body {body!r}")
+    return _heights(body, rng.random(n))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +115,6 @@ def floor_radius(polygon, xy) -> float:
     """Gauge a(z) with a(z) * (z/|z|...): smallest a with xy/a inside
     the polygon boundary; equals max over edges of (n_e . xy) / b_e where
     the edge line is n_e . p = b_e and the origin is interior."""
-    v = np.asarray(polygon, dtype=float)
     return float(floor_radius_batch(polygon, np.asarray(xy, dtype=float)[None, :])[0])
 
 

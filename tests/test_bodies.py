@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from floorconvex.bodies import (SubPrism2D, Tetrahedron, below_volume,
-                                body_from_json, body_to_json, builtin_body,
-                                floor_volume, frustum, layer_volume,
-                                load_body, max_height, mean_height,
-                                mountain3d, normalize_floor_polygon,
-                                polygon_area, prism3d, regular_polygon_floor)
+from floorconvex.bodies import (SubPrism2D, below_volume, body_from_json,
+                                body_to_json, builtin_body, floor_volume,
+                                frustum, layer_volume, load_body, max_height,
+                                mean_height, mountain3d,
+                                normalize_floor_polygon, polygon_area,
+                                prism3d, regular_polygon_floor, tetrahedron)
 from floorconvex.topfunctions import QuadraticTop, triangle_top
 
 ALL_BUILTINS = ("triangle", "square", "parabola", "mountain2d", "mountain3d",
@@ -75,8 +75,9 @@ def test_prism_closed_forms():
 
 
 def test_tetrahedron_convention():
-    t = Tetrahedron()
-    assert t.vertices[3] == (0.0, 0.0, 6.0)
+    t = tetrahedron()
+    assert t.floor == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    assert (*t.a, max_height(t)) == (0.0, 0.0, 6.0)   # apex above (0, 0)
     assert floor_volume(t) == 0.5
     assert layer_volume(t, 0.0) == pytest.approx(0.5)
     assert mean_height(t) == pytest.approx(1.5)

@@ -1,6 +1,7 @@
 """CLI: schema stability, exit codes, output formats."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,21 @@ def test_exact_rationals_round_trip_exactly(capsys):
     d = json.loads(out)
     from floorconvex.sequences import ell_seq
     assert [Fraction(int(r["num"]), int(r["den"])) for r in d["rows"]] \
+        == ell_seq(6)
+
+
+def test_exact_table_past_the_int_digit_limit(capsys):
+    # ell_150 has more digits than the default 4300-digit limit on int -> str;
+    # the limit is lifted for the table only
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "exact", "--seq", "ell", "--n", "150")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 151
+    assert max(len(rows[-1]["num"]), len(rows[-1]["den"])) > 4300
+    assert sys.get_int_max_str_digits() == limit
+    from floorconvex.sequences import ell_seq
+    assert [Fraction(int(r["num"]), int(r["den"])) for r in rows[:7]] \
         == ell_seq(6)
 
 
@@ -93,6 +109,22 @@ def test_estimate_bad_body_exits_1(capsys):
     code, _, err = run(capsys, "estimate", "--body", "nope", "--n", "2",
                        "--samples", "10")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--body", "triangle", "--n", "3", "--samples", "0"),
+    ("--body", "triangle", "--n", "1", "--samples", "0"),
+    ("--estimator", "q2-height", "--body", "square", "--samples", "0"),
+    ("--estimator", "beta2", "--n", "1", "--samples", "0"),
+    ("--estimator", "beta2", "--n", "3", "--samples", "-5"),
+    ("--body", "triangle", "--n", "3", "--samples", "100", "--workers", "0"),
+    ("--estimator", "q2-height", "--body", "square", "--samples", "100",
+     "--workers", "0"),
+])
+def test_estimate_counts_below_one_exit_1(capsys, argv):
+    code, _, err = run(capsys, "estimate", "--seed", "1", *argv)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_quadrature(capsys):

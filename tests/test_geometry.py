@@ -1,6 +1,5 @@
 """Robust geometry: predicates, hulls, floor predicates, oracle equivalence."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +75,7 @@ def test_hull2d_idempotent_and_contains_input(pts):
     assert set(map(geo._frac, again.vertices)) == set(map(geo._frac,
                                                           hull.vertices))
     for p in pts:
-        assert geo.point_in_hull_2d(p, pts)
+        assert geo.point_in_hull_lp(p, pts)
 
 
 @given(st.lists(_pt2, min_size=3, max_size=10), _pt2, _dyadic)
@@ -105,61 +104,6 @@ def test_hull2d_subset_closure(pts):
     reduced = [p for p in pts if geo._frac(p) != geo._frac(interior[0])]
     hull2 = geo.convex_hull_2d(reduced)
     assert set(map(geo._frac, hull2.vertices)) == verts
-
-
-# ---------------------------------------------------------------------------
-# 3D hull
-
-CUBE = list(itertools.product((0, 1), repeat=3))
-
-
-def test_hull3d_cube():
-    hull = geo.convex_hull_3d(CUBE)
-    assert not hull.degenerate
-    assert len(hull.vertices) == 8
-    assert len(hull.facets) == 12
-    euler_edges = len({frozenset((f[i], f[(i + 1) % 3])) for f in hull.facets
-                       for i in range(3)})
-    assert len(hull.vertices) - euler_edges + len(hull.facets) == 2
-
-
-def test_hull3d_interior_and_boundary_points_dropped():
-    pts = CUBE + [(F(1, 2), F(1, 2), F(1, 2)),   # center
-                  (F(1, 2), F(1, 2), 0),         # face center
-                  (F(1, 2), 0, 0)]               # edge midpoint
-    hull = geo.convex_hull_3d(pts)
-    assert set(map(geo._frac, hull.vertices)) == set(map(geo._frac, CUBE))
-
-
-def test_hull3d_facets_face_outward():
-    hull = geo.convex_hull_3d(CUBE)
-    interior = (F(1, 2), F(1, 2), F(1, 2))
-    for (a, b, c) in hull.facets:
-        assert geo.orient3(hull.vertices[a], hull.vertices[b],
-                           hull.vertices[c], interior) == -1
-
-
-def test_hull3d_coplanar_degenerate():
-    hull = geo.convex_hull_3d([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
-                               (F(1, 2), F(1, 2), 0)])
-    assert hull.degenerate
-    assert set(map(geo._frac, hull.vertices)) == set(
-        map(geo._frac, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]))
-
-
-def test_hull3d_matches_lp_oracle_on_random_points():
-    rng = np.random.default_rng(7)
-    for _ in range(15):
-        pts = [tuple(F(int(v), 1024) for v in row)
-               for row in rng.integers(-1024, 1025, size=(18, 3))]
-        hull = geo.convex_hull_3d(pts)
-        if hull.degenerate:
-            continue
-        verts = set(map(geo._frac, hull.vertices))
-        for i, p in enumerate(pts):
-            others = pts[:i] + pts[i + 1:]
-            is_vertex = not geo.point_in_hull_lp(p, others)
-            assert (geo._frac(p) in verts) == is_vertex
 
 
 # ---------------------------------------------------------------------------

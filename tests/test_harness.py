@@ -23,6 +23,11 @@ def test_statistical_suites_pass():
         assert rep.passed, rep.summary()
 
 
+def test_trials_leave_tetra_sandwich_n_max_alone():
+    (rep,) = harness.run_suites(["tetra_sandwich"], trials=6, samples=2000)
+    assert rep.params["n_max"] == 4
+
+
 def test_conjecture_suite_never_fails():
     rep = harness.suite_conjecture(trials=2, seed=3)
     assert rep.passed

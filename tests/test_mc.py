@@ -104,6 +104,23 @@ def test_q_trivial_cases():
         mc.estimate_Q(builtin_body("triangle"), -1, 1000)
 
 
+def test_estimators_reject_counts_below_one():
+    tri = builtin_body("triangle")
+    estimators = [
+        lambda **kw: mc.estimate_Q(tri, 1, **kw),
+        lambda **kw: mc.estimate_Q(tri, 3, **kw),
+        lambda **kw: mc.estimate_P(tri, 3, **kw),
+        lambda **kw: mc.estimate_Q2_height(tri, **kw),
+        lambda **kw: mc.estimate_beta1(1, **kw),
+        lambda **kw: mc.estimate_beta2(3, **kw),
+        lambda **kw: mc.estimate_fradius_reduction(3, **kw),
+    ]
+    for estimate in estimators:
+        for kw in ({"n_samples": 0}, {"n_samples": 100, "workers": 0}):
+            with pytest.raises(ValueError):
+                estimate(**kw)
+
+
 def test_3d_estimates():
     assert _close(mc.estimate_Q(builtin_body("mountain3d"), 2, N, seed=40),
                   0.5)

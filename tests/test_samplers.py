@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from floorconvex.bodies import (UNIT_SQUARE_FLOOR, Tetrahedron, below_volume,
+from floorconvex.bodies import (UNIT_SQUARE_FLOOR, below_volume,
                                 builtin_body, frustum, max_height,
-                                mean_height, regular_polygon_floor)
+                                mean_height, mountain3d,
+                                regular_polygon_floor, tetrahedron)
 from floorconvex.samplers import (RngStream, floor_radius, floor_radius_batch,
                                   sample_body, sample_density_g1,
                                   sample_density_g2, sample_heights,
@@ -66,7 +67,7 @@ def test_points_stay_inside_parabola_body():
 
 
 def test_points_stay_inside_tetrahedron():
-    pts = sample_body(Tetrahedron(), RngStream(6).generator(), N)
+    pts = sample_body(tetrahedron(), RngStream(6).generator(), N)
     assert np.all(pts >= -1e-12)
     assert np.all(pts[:, 0] + pts[:, 1] + pts[:, 2] / 6 <= 1 + 1e-12)
 
@@ -78,6 +79,16 @@ def test_points_stay_inside_mountain():
     # horizontal part must be inside the floor shrunk by the height factor
     a = floor_radius_batch(body.floor, pts[:, :2])
     assert np.all(a <= lam + 1e-9)
+
+
+def test_points_stay_inside_mountain_with_offset_apex():
+    apex = np.array([0.2, -0.1])
+    body = mountain3d(apex_xy=tuple(apex))
+    pts = sample_body(body, RngStream(14).generator(), 50_000)
+    t = pts[:, 2]
+    # the layer at height t is the floor shrunk by 1 - t/3, shifted by t/3 apex
+    a = floor_radius_batch(body.floor, pts[:, :2] - (t / 3)[:, None] * apex)
+    assert np.all(a <= 1 - t / 3 + 1e-9)
 
 
 def test_polygon_sampler_box_moments():
@@ -119,7 +130,6 @@ def test_density_g2_support_and_moments():
 def test_g2_pushforward_of_mountain_gauge():
     # (gauge, height) of uniform mountain points must have the g2 law:
     # chi-square over a 2D histogram against exact cell masses
-    from floorconvex.bodies import mountain3d
     body = mountain3d()
     rng = RngStream(12).generator()
     pts = sample_body(body, rng, N)
