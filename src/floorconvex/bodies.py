@@ -314,5 +314,10 @@ def load_body(spec: str) -> BodyWithFloor:
     """Path to a JSON descriptor file, or else a builtin name."""
     if os.path.exists(spec):
         with open(spec) as fh:
-            return body_from_json(json.load(fh))
+            d = json.load(fh)
+        try:
+            return body_from_json(d)
+        except KeyError as exc:
+            raise ValueError(
+                f"body descriptor {spec} lacks the key {exc}") from None
     return builtin_body(spec)

@@ -2,6 +2,10 @@
 hull containment and the "in convex position together with the floor"
 predicates.
 
+3D containment is decided over non-flat simplices only, which is exact
+when the point set spans 3-space.  The 3D floor predicate guarantees that:
+it requires a floor of positive area and sample points of positive height.
+
 All predicates run a filtered floating-point evaluation first and escalate to
 exact rational arithmetic when the computed determinant falls inside the
 certified error band.  Inputs may mix floats, ints and Fractions; exact
@@ -121,67 +125,21 @@ def convex_hull_2d(points) -> Hull2:
 # 3D hull containment
 
 def point_in_conv_3d(p: Point, points) -> bool:
-    """Weak containment in conv(points) for a small 3D point set.
+    """Weak containment in conv(points) for a small 3D point set that spans
+    3-space.
 
-    By Caratheodory a contained point lies weakly inside some simplex of four
-    of the points; when the set is full-dimensional every lower-dimensional
-    containment is also covered by a non-flat simplex, so the flat
-    triangle/segment scan only runs for affinely dependent sets.
+    By Caratheodory a contained point then lies weakly inside some non-flat
+    simplex of four of the points, so flat simplices are skipped.
     """
-    pts = _dedupe(points)
-    found_nondeg = False
-    for (a, b, c, d) in itertools.combinations(pts, 4):
+    for (a, b, c, d) in itertools.combinations(points, 4):
         s = orient3(a, b, c, d)
         if s == 0:
             continue
-        found_nondeg = True
         if (orient3(p, b, c, d) * s >= 0 and orient3(a, p, c, d) * s >= 0
                 and orient3(a, b, p, d) * s >= 0
                 and orient3(a, b, c, p) * s >= 0):
             return True
-    if not found_nondeg:
-        return _in_conv_affinely_dependent(p, pts)
     return False
-
-
-def _in_conv_affinely_dependent(p, pts) -> bool:
-    """Caratheodory containment test over triangles and segments only."""
-    for tri in itertools.combinations(pts, 3):
-        if _point_in_triangle_3d(p, *tri):
-            return True
-    for (a, b) in itertools.combinations(pts, 2):
-        if _point_on_segment_3d(p, a, b):
-            return True
-    return any(_frac(p) == _frac(q) for q in pts)
-
-
-def _point_in_triangle_3d(p, a, b, c) -> bool:
-    if orient3(a, b, c, p) != 0:
-        return False
-    fa, fb, fc, fp = _frac(a), _frac(b), _frac(c), _frac(p)
-    u = tuple(fb[i] - fa[i] for i in range(3))
-    v = tuple(fc[i] - fa[i] for i in range(3))
-    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-    if all(x == 0 for x in n):
-        return False  # collinear triple, handled by segment tests
-    for (x, y, z) in ((fa, fb, fp), (fb, fc, fp), (fc, fa, fp)):
-        e = tuple(y[i] - x[i] for i in range(3))
-        w = tuple(z[i] - x[i] for i in range(3))
-        cr = (e[1] * w[2] - e[2] * w[1], e[2] * w[0] - e[0] * w[2], e[0] * w[1] - e[1] * w[0])
-        if sum(cr[i] * n[i] for i in range(3)) < 0:
-            return False
-    return True
-
-
-def _point_on_segment_3d(p, a, b) -> bool:
-    fa, fb, fp = _frac(a), _frac(b), _frac(p)
-    u = tuple(fb[i] - fa[i] for i in range(3))
-    w = tuple(fp[i] - fa[i] for i in range(3))
-    cr = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
-    if any(x != 0 for x in cr):
-        return False
-    dot = sum(u[i] * w[i] for i in range(3))
-    return 0 <= dot <= sum(u[i] * u[i] for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +164,11 @@ def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:
     """True iff every point is a strict vertex of CH(points + floor vertices).
 
     floor_polygon: extremal vertices of the floor, given as (x, y) pairs or
-    (x, y, 0) triples.
+    (x, y, 0) triples.  The floor must have positive area and every point
+    positive height.  Then a single point is always a vertex, and for two or
+    more points the others always span 3-space (the floor spans the plane
+    z = 0 and another point lies above it), which is the full-dimensionality
+    that point_in_conv_3d needs.
     """
     floor_pts = []
     for v in floor_polygon:
@@ -216,18 +178,18 @@ def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:
             floor_pts.append(tuple(v))
         else:
             floor_pts.append((v[0], v[1], 0))
+    if not any(orient2(a[:2], b[:2], c[:2])
+               for a, b, c in itertools.combinations(floor_pts, 3)):
+        raise ValueError("floor must have positive area")
     for p in points:
         if Fraction(p[2]) <= 0:
             raise ValueError("sample points must have positive height")
     pts = list(points)
     if len(_dedupe(pts)) < len(pts):
         return False
-    S = pts + floor_pts
-    for i, p in enumerate(pts):
-        others = S[:i] + S[i + 1:]
-        if point_in_conv_3d(p, others):
-            return False
-    return True
+    S = pts + _dedupe(floor_pts)
+    return not any(point_in_conv_3d(p, S[:i] + S[i + 1:])
+                   for i, p in enumerate(pts))
 
 
 # ---------------------------------------------------------------------------

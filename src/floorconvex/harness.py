@@ -9,7 +9,6 @@ reproducible from the seed alone.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -334,6 +333,10 @@ SUITES = {
 
 def run_suites(names, seed: int = 0, trials: int | None = None,
                samples: int | None = None) -> list[Report]:
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be >= 1")
+    if trials is not None and trials < 0:
+        raise ValueError("trials must be >= 0")
     reports = []
     for name in names:
         if name not in SUITES:
@@ -347,7 +350,3 @@ def run_suites(names, seed: int = 0, trials: int | None = None,
             kwargs["samples"] = samples
         reports.append(fn(**kwargs))
     return reports
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json() for r in reports], indent=2)

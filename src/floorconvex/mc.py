@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -72,12 +73,18 @@ def _binomial_result(k: int, n: int, seed: int, t0: float) -> EstimateResult:
 # ---------------------------------------------------------------------------
 # Batch predicates.  Verdict per trial: 1 success, 0 failure, -1 ambiguous.
 
-def convex_position_verdicts_2d(pts: np.ndarray) -> np.ndarray:
-    """Strict convex position of each row of an (B, m, 2) array.
+def convex_position_verdicts_2d(pts: np.ndarray,
+                                floor_xy: np.ndarray | None = None) -> np.ndarray:
+    """Strict convex position of each row of a (B, m, 2) array, together with
+    the (k, 2) floor vertices floor_xy when given.
 
     Points in strictly convex position are exactly those whose angular order
     around their centroid forms a strictly convex polygon.
     """
+    if floor_xy is not None:
+        pts = np.concatenate(
+            [pts, np.broadcast_to(floor_xy, (pts.shape[0],) + floor_xy.shape)],
+            axis=1)
     center = pts.mean(axis=1, keepdims=True)
     ang = np.arctan2(pts[..., 1] - center[..., 1], pts[..., 0] - center[..., 0])
     order = np.argsort(ang, axis=1)
@@ -201,15 +208,15 @@ def _exact_chain(points, anchor=(1, 0)) -> bool:
     return True
 
 
-def _resolve(pts: np.ndarray, verdict: np.ndarray, exact) -> int:
+def _resolve(pts: np.ndarray, verdict: np.ndarray, exact, *floor) -> int:
     """Successes in a chunk: the certain float verdicts, plus each ambiguous
-    trial settled by exact(points).  The floor predicates raise ValueError
-    for a point exactly on the floor plane, which is never a strict vertex,
-    so that trial fails."""
+    trial settled by exact(points, *floor).  The floor predicates raise
+    ValueError for a point exactly on the floor plane, which is never a
+    strict vertex, so that trial fails."""
     k = int(np.sum(verdict == 1))
     for i in np.nonzero(verdict == -1)[0]:
         try:
-            k += exact([tuple(p) for p in pts[i]])
+            k += exact([tuple(p) for p in pts[i]], *floor)
         except ValueError:
             pass
     return k
@@ -218,37 +225,54 @@ def _resolve(pts: np.ndarray, verdict: np.ndarray, exact) -> int:
 # ---------------------------------------------------------------------------
 # Chunked execution
 
-def _chunks(n_samples: int, chunk_size: int):
-    sizes = []
-    left = n_samples
-    while left > 0:
-        sizes.append(min(chunk_size, left))
-        left -= sizes[-1]
-    return sizes
-
-
-def _check_budget(n_samples: int, workers: int) -> None:
+def _check_budget(n_samples: int, workers: int, chunk_size: int) -> None:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+
+
+def _map_chunks(chunk_fn, n_samples: int, seed: int, workers: int,
+                chunk_size: int) -> list:
+    """chunk_fn(rng, size) on each chunk of at most chunk_size trials, chunk i
+    drawing from RngStream(seed, i); results come back in chunk order."""
+    jobs = list(enumerate(range(0, n_samples, chunk_size)))
+
+    def run(job):
+        i, start = job
+        return chunk_fn(RngStream(seed, i).generator(),
+                        min(chunk_size, n_samples - start))
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(run, jobs))
+    return [run(j) for j in jobs]
 
 
 def _run_binomial(chunk_fn, n_samples: int, seed: int, workers: int,
                   chunk_size: int, t0: float) -> EstimateResult:
-    sizes = _chunks(n_samples, chunk_size)
+    k = sum(_map_chunks(chunk_fn, n_samples, seed, workers, chunk_size))
+    return _binomial_result(k, n_samples, seed, t0)
 
-    def run(args):
-        stream, size = args
-        return chunk_fn(RngStream(seed, stream).generator(), size)
 
-    jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = list(ex.map(run, jobs))
-    else:
-        counts = [run(j) for j in jobs]
-    return _binomial_result(sum(counts), n_samples, seed, t0)
+def _estimate_convex(sample, n: int, always: int, verdicts, exact,
+                     n_samples: int, seed: int, workers: int, chunk_size: int,
+                     *floor) -> EstimateResult:
+    """Chance that n points drawn by sample(rng, count) pass the convex-position
+    test: verdicts(pts, *floor) on each (size, n, dim) chunk, with exact(points,
+    *floor) settling its ambiguous trials.  n <= always always passes."""
+    _check_budget(n_samples, workers, chunk_size)
+    t0 = time.perf_counter()
+    if n <= always:
+        return _binomial_result(n_samples, n_samples, seed, t0)
+
+    def chunk(rng, size):
+        pts = sample(rng, size * n).reshape(size, n, -1)
+        return _resolve(pts, verdicts(pts, *floor), exact, *floor)
+
+    return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,31 +283,16 @@ def estimate_Q(body: BodyWithFloor, n: int, n_samples: int, seed: int = 0,
     """P(n uniform points are in convex position with the floor)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_budget(n_samples, workers)
-    t0 = time.perf_counter()
-    if n <= 1:
-        return _binomial_result(n_samples, n_samples, seed, t0)
-    floor = body.floor
     if body.dimension == 2:
-        fl = np.asarray(floor, dtype=float)
-
-        def chunk(rng, size):
-            pts = sample_body(body, rng, size * n).reshape(size, n, 2)
-            full = np.concatenate(
-                [pts, np.broadcast_to(fl, (size,) + fl.shape)], axis=1)
-            return _resolve(pts, convex_position_verdicts_2d(full),
-                            lambda s: geometry.in_convex_position_with_floor_2d(
-                                s, floor=floor))
+        verdicts = convex_position_verdicts_2d
+        exact = geometry.in_convex_position_with_floor_2d
+        floor = np.asarray(body.floor, dtype=float)
     else:
-        fxyz = np.array([[x, y, 0.0] for (x, y) in floor])
-
-        def chunk(rng, size):
-            pts = sample_body(body, rng, size * n).reshape(size, n, 3)
-            return _resolve(pts, convex_position_verdicts_3d(pts, fxyz),
-                            lambda s: geometry.in_convex_position_with_floor_3d(
-                                s, floor))
-
-    return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
+        verdicts = convex_position_verdicts_3d
+        exact = geometry.in_convex_position_with_floor_3d
+        floor = np.array([[x, y, 0.0] for (x, y) in body.floor])
+    return _estimate_convex(partial(sample_body, body), n, 1, verdicts, exact,
+                            n_samples, seed, workers, chunk_size, floor)
 
 
 def estimate_P(body: BodyWithFloor, n: int, n_samples: int, seed: int = 0,
@@ -291,17 +300,10 @@ def estimate_P(body: BodyWithFloor, n: int, n_samples: int, seed: int = 0,
     """P(n uniform points are in convex position), floor ignored.  2D only."""
     if body.dimension != 2:
         raise ValueError("floorless estimator is 2D only")
-    _check_budget(n_samples, workers)
-    t0 = time.perf_counter()
-    if n <= 3:
-        return _binomial_result(n_samples, n_samples, seed, t0)
-
-    def chunk(rng, size):
-        pts = sample_body(body, rng, size * n).reshape(size, n, 2)
-        return _resolve(pts, convex_position_verdicts_2d(pts),
-                        _exact_convex_position_2d)
-
-    return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
+    return _estimate_convex(partial(sample_body, body), n, 3,
+                            convex_position_verdicts_2d,
+                            _exact_convex_position_2d,
+                            n_samples, seed, workers, chunk_size)
 
 
 def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
@@ -310,24 +312,16 @@ def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
     """Q(2) via the cone identity: the hull of one point and the floor is a
     cone of volume floor_volume * height / d, so
     Q(2) = 1 - 2 * floor_volume * E[height] / d."""
-    _check_budget(n_samples, workers)
+    _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
     coef = 2.0 * floor_volume(body) / body.dimension
-    sizes = _chunks(n_samples, chunk_size)
 
-    def run(args):
-        stream, size = args
-        h = sample_heights(body, RngStream(seed, stream).generator(), size)
+    def chunk(rng, size):
+        h = sample_heights(body, rng, size)
         return float(h.sum()), float((h * h).sum())
 
-    jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
+    parts = _map_chunks(chunk, n_samples, seed, workers, chunk_size)
+    s1, s2 = map(sum, zip(*parts))
     mean = s1 / n_samples
     var = max(s2 / n_samples - mean * mean, 0.0)
     est = 1.0 - coef * mean
@@ -338,34 +332,20 @@ def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
                           wall_ms=(time.perf_counter() - t0) * 1000)
 
 
-def _chain_estimator(sampler, n: int, n_samples: int, seed: int,
-                     workers: int, chunk_size: int) -> EstimateResult:
-    _check_budget(n_samples, workers)
-    t0 = time.perf_counter()
-    if n <= 1:
-        return _binomial_result(n_samples, n_samples, seed, t0)
-
-    def chunk(rng, size):
-        pts = sampler(rng, size * n).reshape(size, n, 2)
-        return _resolve(pts, chain_verdicts(pts), _exact_chain)
-
-    return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
-
-
 def estimate_beta1(n: int, n_samples: int, seed: int = 0, workers: int = 1,
                    chunk_size: int = DEFAULT_CHUNK) -> EstimateResult:
     """Anchored-chain probability under the density 2x on the unit square;
     lower-bounds Q of any 3D prism."""
-    return _chain_estimator(sample_density_g1, n, n_samples, seed, workers,
-                            chunk_size)
+    return _estimate_convex(sample_density_g1, n, 1, chain_verdicts,
+                            _exact_chain, n_samples, seed, workers, chunk_size)
 
 
 def estimate_beta2(n: int, n_samples: int, seed: int = 0, workers: int = 1,
                    chunk_size: int = DEFAULT_CHUNK) -> EstimateResult:
     """Anchored-chain probability under 2x 1(x <= 1-y/3) on [0,1]x[0,3];
     lower-bounds Q of any 3D mountain and equals y_closed(n) exactly."""
-    return _chain_estimator(sample_density_g2, n, n_samples, seed, workers,
-                            chunk_size)
+    return _estimate_convex(sample_density_g2, n, 1, chain_verdicts,
+                            _exact_chain, n_samples, seed, workers, chunk_size)
 
 
 def estimate_fradius_reduction(n: int, n_samples: int, seed: int = 0,
@@ -379,9 +359,10 @@ def estimate_fradius_reduction(n: int, n_samples: int, seed: int = 0,
     """
     body = mountain3d(floor_polygon)
 
-    def sampler(rng, total):
+    def sample(rng, total):
         pts = sample_body(body, rng, total)
         a = floor_radius_batch(body.floor, pts[:, :2])
         return np.column_stack([a, pts[:, 2]])
 
-    return _chain_estimator(sampler, n, n_samples, seed, workers, chunk_size)
+    return _estimate_convex(sample, n, 1, chain_verdicts, _exact_chain,
+                            n_samples, seed, workers, chunk_size)

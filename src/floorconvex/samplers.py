@@ -111,14 +111,10 @@ def sample_density_g2(rng: np.random.Generator, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Floor radius of a convex polygon (gauge of the floor at a direction)
 
-def floor_radius(polygon, xy) -> float:
-    """Gauge a(z) with a(z) * (z/|z|...): smallest a with xy/a inside
-    the polygon boundary; equals max over edges of (n_e . xy) / b_e where
-    the edge line is n_e . p = b_e and the origin is interior."""
-    return float(floor_radius_batch(polygon, np.asarray(xy, dtype=float)[None, :])[0])
-
-
 def floor_radius_batch(polygon, xy: np.ndarray) -> np.ndarray:
+    """Gauge of each row of xy: the smallest a with xy/a inside the polygon,
+    i.e. the max over edges of (n_e . xy) / b_e where the edge line is
+    n_e . p = b_e and the origin is interior."""
     v = np.asarray(polygon, dtype=float)
     w = np.roll(v, -1, axis=0)
     e = w - v

@@ -186,12 +186,6 @@ def triangle_top() -> PiecewiseLinearTop:
     return PiecewiseLinearTop(((0, 0), (1, 2)))
 
 
-def linear_top(a, b) -> PiecewiseLinearTop:
-    """Profile a*x + b (normalized to unit integral on construction)."""
-    a, b = Fraction(a), Fraction(b)
-    return PiecewiseLinearTop(((0, b), (1, a + b)))
-
-
 def mountain_top(s) -> PiecewiseLinearTop:
     """Unit 2D mountain: tent with apex (s, 2)."""
     s = Fraction(s)

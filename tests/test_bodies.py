@@ -142,6 +142,18 @@ def test_load_body_from_file(tmp_path):
     assert body.kind == "frustum" and body.h == 0.7
 
 
+@pytest.mark.parametrize("desc, key", [
+    ({"kind": "frustum", "dimension": 3}, "'h'"),
+    ({"kind": "frustum", "h": 0.5}, "'dimension'"),
+    ({"kind": "subprism2d"}, "'top'"),
+])
+def test_load_body_names_a_missing_key(tmp_path, desc, key):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match=key):
+        load_body(str(path))
+
+
 def test_unknown_body_raises():
     with pytest.raises(ValueError):
         builtin_body("dodecahedron")

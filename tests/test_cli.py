@@ -165,6 +165,23 @@ def test_body_bad_file_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("sub", ["estimate", "body"])
+def test_descriptor_missing_a_key_exits_1(capsys, tmp_path, sub):
+    path = tmp_path / "frustum.json"
+    path.write_text(json.dumps({"kind": "frustum", "dimension": 3}))
+    code, _, err = run(capsys, sub, "--body", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "'h'" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "0"),
+                                         ("--trials", "-3")])
+def test_verify_counts_out_of_range_exit_1(capsys, flag, value):
+    code, _, err = run(capsys, "verify", "--suite", "w_formula", flag, value)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_verify_pass_exit_0(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "mountain_mixture",
                        "--trials", "5", "--seed", "3")

@@ -148,6 +148,14 @@ def test_floor_3d_point_inside_tetra_over_triangle_floor():
     assert not geo.in_convex_position_with_floor_3d([apex, inner], tri)
 
 
+def test_floor_3d_rejects_a_floor_of_zero_area():
+    up = [(F(1, 2), F(1, 2), 1), (F(1, 4), F(1, 2), F(1, 2))]
+    for floor in ([(0, 0), (1, 0), (2, 0)], [(0, 0), (1, 1)],
+                  [(0, 0), (0, 0), (0, 0)]):
+        with pytest.raises(ValueError, match="positive area"):
+            geo.in_convex_position_with_floor_3d(up, floor)
+
+
 def _random_dyadic_points(rng, n, dim, height_positive):
     pts = []
     for _ in range(n):

@@ -52,7 +52,7 @@ def test_report_schema():
         assert {"description", "lhs", "rhs", "margin", "passed",
                 "flagged"} == set(rec)
     # serializable end to end
-    json.loads(harness.reports_to_json([rep]))
+    json.loads(json.dumps([rep.to_json()]))
 
 
 def test_flagged_trials_do_not_gate():

@@ -75,6 +75,62 @@ def test_predicates_handle_crafted_degeneracies():
 
 
 # ---------------------------------------------------------------------------
+# Float-to-exact handoff: on a 1/8 grid ties are common, so the float
+# predicates leave trials ambiguous and _resolve must settle them exactly
+
+def _grid_trials(sample, trials, n, seed):
+    pts = sample(RngStream(seed).generator(), trials * n)
+    pts = np.round(pts.reshape(trials, n, pts.shape[1]) * 8) / 8
+    pts[..., -1] = np.maximum(pts[..., -1], 1 / 8)
+    return pts
+
+
+def _oracle_count(pts, floor_pts):
+    return sum(geo.in_convex_position_with_floor_oracle(
+        [tuple(p) for p in trial], floor_pts) for trial in pts)
+
+
+def test_grid_handoff_2d_with_floor():
+    body = builtin_body("square")
+    pts = _grid_trials(lambda rng, k: sample_body(body, rng, k), 300, 4, 4)
+    fl = np.asarray(body.floor, dtype=float)
+    v = mc.convex_position_verdicts_2d(pts, fl)
+    assert (v == -1).any()
+    assert (mc._resolve(pts, v, geo.in_convex_position_with_floor_2d, fl)
+            == _oracle_count(pts, body.floor))
+
+
+def test_grid_handoff_2d_floorless():
+    body = builtin_body("triangle")
+    pts = _grid_trials(lambda rng, k: sample_body(body, rng, k), 300, 4, 5)
+    v = mc.convex_position_verdicts_2d(pts)
+    assert (v == -1).any()
+    assert (mc._resolve(pts, v, mc._exact_convex_position_2d)
+            == _oracle_count(pts, []))
+
+
+def test_grid_handoff_3d():
+    body = builtin_body("prism3d")
+    pts = _grid_trials(lambda rng, k: sample_body(body, rng, k), 300, 4, 6)
+    fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
+    v = mc.convex_position_verdicts_3d(pts, fxyz)
+    k = mc._resolve(pts, v, geo.in_convex_position_with_floor_3d, fxyz)
+    # here some ambiguous trials are successes: a sample point coplanar with
+    # a flat 4-subset of the others but outside its hull
+    assert k > (v == 1).sum()
+    assert k == _oracle_count(pts, fxyz)
+
+
+def test_grid_handoff_chain():
+    from floorconvex.samplers import sample_density_g1
+    pts = _grid_trials(sample_density_g1, 500, 5, 7)
+    v = mc.chain_verdicts(pts)
+    assert (v == -1).any()
+    assert (mc._resolve(pts, v, mc._exact_chain)
+            == sum(mc._exact_chain(trial) for trial in pts))
+
+
+# ---------------------------------------------------------------------------
 # Estimator correctness at moderate budgets
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -116,7 +172,9 @@ def test_estimators_reject_counts_below_one():
         lambda **kw: mc.estimate_fradius_reduction(3, **kw),
     ]
     for estimate in estimators:
-        for kw in ({"n_samples": 0}, {"n_samples": 100, "workers": 0}):
+        for kw in ({"n_samples": 0}, {"n_samples": 100, "workers": 0},
+                   {"n_samples": 100, "chunk_size": 0},
+                   {"n_samples": 100, "chunk_size": -5}):
             with pytest.raises(ValueError):
                 estimate(**kw)
 

@@ -9,7 +9,7 @@ from floorconvex.bodies import (UNIT_SQUARE_FLOOR, below_volume,
                                 builtin_body, frustum, max_height,
                                 mean_height, mountain3d,
                                 regular_polygon_floor, tetrahedron)
-from floorconvex.samplers import (RngStream, floor_radius, floor_radius_batch,
+from floorconvex.samplers import (RngStream, floor_radius_batch,
                                   sample_body, sample_density_g1,
                                   sample_density_g2, sample_heights,
                                   sample_polygon)
@@ -156,17 +156,19 @@ def test_g2_pushforward_of_mountain_gauge():
 
 def test_floor_radius_values():
     sq = UNIT_SQUARE_FLOOR
-    assert floor_radius(sq, (0.5, 0.25)) == pytest.approx(1.0)
-    assert floor_radius(sq, (0.25, 0.0)) == pytest.approx(0.5)
-    assert floor_radius(sq, (0.0, 0.0)) == 0.0
+    a = floor_radius_batch(sq, np.array([[0.5, 0.25], [0.25, 0.0], [0.0, 0.0],
+                                         [0.1, 0.2], [0.2, 0.4]]))
+    assert a[0] == pytest.approx(1.0)
+    assert a[1] == pytest.approx(0.5)
+    assert a[2] == 0.0
     # positive homogeneity
-    assert floor_radius(sq, (0.1, 0.2)) * 2 == pytest.approx(
-        floor_radius(sq, (0.2, 0.4)))
+    assert a[3] * 2 == pytest.approx(a[4])
 
 
 def test_floor_radius_requires_interior_origin():
     with pytest.raises(ValueError):
-        floor_radius([(0, 0), (1, 0), (1, 1), (0, 1)], (0.5, 0.5))
+        floor_radius_batch([(0, 0), (1, 0), (1, 1), (0, 1)],
+                           np.array([[0.5, 0.5]]))
 
 
 def test_frustum_samples_inside_cross_sections():

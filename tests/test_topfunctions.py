@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floorconvex.topfunctions import (MountainMixture, PiecewiseLinearTop,
-                                      QuadraticTop, constant_top, linear_top,
+                                      QuadraticTop, constant_top,
                                       mountain_decompose, mountain_top,
                                       q2_exact_subprism, random_concave_top,
                                       triangle_top)
@@ -44,7 +44,7 @@ def test_q2_exact_values():
 
 
 def test_linear_top_normalization():
-    G = linear_top(2, 5)  # 2x + 5 scaled to unit integral
+    G = PiecewiseLinearTop(((0, 5), (1, 7)))  # 2x + 5 scaled to unit integral
     assert G.integral() == 1
     assert G.value(0) == F(5, 6)
     assert G.value(1) == F(7, 6)
