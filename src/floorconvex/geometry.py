@@ -66,6 +66,8 @@ def orient3(a: Point, b: Point, c: Point, d: Point) -> int:
         return 1
     if det < -bound:
         return -1
+    if a[2] == 0 and b[2] == 0 and c[2] == 0 and d[2] == 0:
+        return 0  # four points of the plane z = 0, such as floor vertices
     fa, fb, fc, fd = _frac(a), _frac(b), _frac(c), _frac(d)
     u = tuple(fb[i] - fa[i] for i in range(3))
     v = tuple(fc[i] - fa[i] for i in range(3))

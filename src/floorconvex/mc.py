@@ -26,6 +26,8 @@ from .samplers import (RngStream, floor_radius_batch, sample_body,
 
 _EPS = np.finfo(float).eps
 DEFAULT_CHUNK = 250_000
+# rows per pass of the 3D predicate, whose per-trial cost grows with array size
+_SLICE = 25_000
 LOW_POWER_SUCCESSES = 100
 
 
@@ -80,6 +82,16 @@ def convex_position_verdicts_2d(pts: np.ndarray,
 
     Points in strictly convex position are exactly those whose angular order
     around their centroid forms a strictly convex polygon.
+
+    Margin.  Let S be the largest coordinate magnitude and u = eps/2 the unit
+    roundoff.  Each cross product (q - p)_x (r - q)_y - (q - p)_y (r - q)_x
+    is built from differences of stored coordinates, each at most 2S and
+    rounded once; each of its two products then meets at most four roundings
+    (two entries, the product, the subtraction), so the computed value is
+    within 4u/(1 - 4u) * 2 * (2S)^2 < 16.01 eps S^2 of the exact cross
+    product of the stored points.  The margin 64 eps scale^2, scale = S + 1,
+    is four times that, so a cross product beyond it has the exact sign, and
+    a row whose smallest cross product lies within it is left ambiguous.
     """
     if floor_xy is not None:
         pts = np.concatenate(
@@ -107,9 +119,16 @@ def chain_verdicts(pts: np.ndarray, anchor=(1.0, 0.0)) -> np.ndarray:
     Rows are sorted by the second coordinate; the walk from the anchor
     through the sorted points must turn strictly left at every interior
     point.  This is the 2D functional whose success probability lower-bounds
-    the 3D convex-position probabilities.
+    the 3D convex-position probabilities.  The sort is stable, as in
+    _exact_chain, so tied heights are walked in the same order by both.
+
+    Margin: the same bound as in convex_position_verdicts_2d, with S at least
+    1 so that it covers the anchor (1, 0): each turn's cross product is
+    within 16.01 eps S^2 of the exact one, and the sort compares stored
+    values exactly, so every certified verdict is the exact verdict of the
+    exact walk.
     """
-    order = np.argsort(pts[..., 1], axis=1)
+    order = np.argsort(pts[..., 1], axis=1, kind="stable")
     p = np.take_along_axis(pts, order[..., None], axis=1)
     a = np.broadcast_to(np.asarray(anchor, dtype=float), (pts.shape[0], 1, 2))
     chain = np.concatenate([a, p], axis=1)
@@ -125,65 +144,124 @@ def chain_verdicts(pts: np.ndarray, anchor=(1.0, 0.0)) -> np.ndarray:
     return out
 
 
-def _det3(a, b, c, d):
-    """Orientation determinant of four (B, 3) point arrays."""
-    u, v, w = b - a, c - a, d - a
-    return (u[:, 0] * (v[:, 1] * w[:, 2] - v[:, 2] * w[:, 1])
-            - u[:, 1] * (v[:, 0] * w[:, 2] - v[:, 2] * w[:, 0])
-            + u[:, 2] * (v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
+def _cross(u, v):
+    """Cross product of two 3-vectors given as coordinate triples; each
+    coordinate is a float or an array over trials."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.ndarray:
     """Strict convex position of sample points together with floor vertices.
 
-    pts: (B, n, 3) sample points, floor_xyz: (k, 3) floor vertices.  Floor
-    vertices are extreme points of the body, hence always hull vertices;
-    only sample points need testing.  A sample point disqualifies the trial
-    iff it lies in the hull of the others, which by Caratheodory means
-    inside some simplex of four of them.
+    pts: (B, n, 3) sample points, floor_xyz: (k, 3) floor vertices at
+    height 0, with n + k >= 5.  Floor vertices are extreme points of the
+    body, hence always hull vertices, so a trial fails iff some sample point
+    x lies in conv(Q), Q being the other sample points and the floor.
+
+    Fan.  Let q0 be the first floor vertex.  conv(Q) is the union of the
+    simplices conv({q0} + T) over the 3-subsets T of Q - {q0}.  For x in
+    conv(Q), follow the ray from q0 through x to its last point y in conv(Q).
+    The smallest face of conv(Q) holding y has y in its relative interior,
+    so it cannot hold q0 (the ray would go on past y inside it); it has
+    dimension at most 2, so by Caratheodory y lies in the hull of at most
+    three of its vertices.  Any 3-subset T of Q - {q0} holding them (n + k
+    >= 5 leaves at least three points there) has x, on the segment from q0
+    to y, in conv({q0} + T).  Each point therefore meets C(m - 1, 3)
+    simplices, m = |Q|, rather than all C(m, 4) 4-subsets of Q.
+
+    Per simplex (q0, a, b, c), d0 = det[a - q0, b - q0, c - q0], and e_k is
+    d0 with x in place of its k-th vertex; when d0 != 0, e_k / d0 are the
+    barycentric coordinates of x and sum to 1.  The three e_k that keep q0
+    are det[x - q0, b - q0, c - q0] for a pair (b, c) of the simplex, so
+    each is computed once per pair and shared by the simplices holding it.
+
+    Margin.  Let S be the largest coordinate magnitude and u = eps/2 the
+    unit roundoff.  Every d0 and e_k is a triple product of coordinate
+    differences, each at most 2S and rounded once; each of its six terms
+    meets at most eight roundings (three entries, two products, the
+    subtraction in the 2x2 minor, two additions), so it is within
+    8u/(1 - 8u) * 6 * (2S)^3 < 192.01 eps S^3 =: E of the exact value.  The
+    margin 512 eps scale^3, scale = S + 1, exceeds 2E.  With |d0| > margin
+    the sign s of d0 is exact; all s * e_k > margin certifies x inside the
+    simplex (a failure), and some s * e_k < -margin certifies x outside it.
+
+    Flat simplices.  When |d0| <= margin the simplex may be flat (the
+    all-floor ones are, with d0 = 0 exactly): its e_k no longer give
+    barycentric coordinates, so it never certifies "inside", and x near it
+    stays ambiguous for the exact predicate.  It certifies "outside" only
+    when some |e_k| > |d0| + margin: in exact arithmetic a point of the
+    closed simplex has |e_k| <= |d0| (its weights lie in [0, 1]; a flat
+    simplex has every e_k = 0 on its plane), and rounding moves the two
+    sides by at most 2E.  So a point of conv(Q), such as one at height 0
+    on the floor, is never certified outside the fan simplex that holds it,
+    and its trial is never a success.
+
+    A row succeeds when every point is certified outside every simplex of
+    its fan, fails when some point is certified inside one, and is left
+    ambiguous (-1) otherwise.  Each row's points are tested lowest first:
+    the lowest point is the one most often inside the hull, so most failing
+    rows leave after one point.  Rows go through in slices of _SLICE, since
+    the per-trial cost of the array passes grows with their size; scale and
+    margin come from the whole batch, so no verdict depends on the slicing.
     """
-    B, n, _ = pts.shape
     scale = max(np.abs(pts).max(), np.abs(floor_xyz).max()) + 1.0
     margin = 512.0 * _EPS * scale ** 3
-    verdict = np.ones(B, dtype=np.int8)
-    alive = np.arange(B)
-    cur = pts
+    verdict = np.empty(pts.shape[0], dtype=np.int8)
+    for s in range(0, pts.shape[0], _SLICE):
+        verdict[s:s + _SLICE] = _verdicts_3d_slice(pts[s:s + _SLICE],
+                                                   floor_xyz, margin)
+    return verdict
+
+
+def _verdicts_3d_slice(pts, floor_xyz, margin):
+    rows, n, _ = pts.shape
+    order = np.argsort(pts[..., 2], axis=1, kind="stable")
+    # xyz[j][k]: coordinate k of each row's j-th lowest point, contiguous
+    xyz = np.take_along_axis(pts, order[..., None], axis=1)
+    xyz = xyz.transpose(1, 2, 0).copy()
+    q0, *floor = [tuple(map(float, f)) for f in floor_xyz]
+    verdict = np.ones(rows, dtype=np.int8)
+    alive = np.arange(rows)
     for i in range(n):
+        cur = xyz[:, :, alive]
+        x = cur[i]
+        fan = floor + [cur[j] for j in range(n) if j != i]  # Q - {q0}
+        rel = [tuple(f[k] - q0[k] for k in range(3)) for f in fan]
+        dif = [tuple(f[k] - x[k] for k in range(3)) for f in fan]
+        xq = tuple(x[k] - q0[k] for k in range(3))
+        # for each pair (b, c) of the fan: (b - q0) x (c - q0), (b - x) x
+        # (c - x) and det[x - q0, b - q0, c - q0], shared by its simplices
+        pairs = list(itertools.combinations(range(len(fan)), 2))
+        rel_x = {bc: _cross(rel[bc[0]], rel[bc[1]]) for bc in pairs}
+        dif_x = {bc: _cross(dif[bc[0]], dif[bc[1]]) for bc in pairs}
+        x_det = {bc: _dot(xq, rel_x[bc]) for bc in pairs}
+        inside = np.zeros(alive.size, dtype=bool)
+        outside = np.ones(alive.size, dtype=bool)
+        for a, b, c in itertools.combinations(range(len(fan)), 3):
+            d0 = _dot(rel[a], rel_x[b, c])
+            # x in place of q0, a, b and c in turn
+            e = (_dot(dif[a], dif_x[b, c]), x_det[b, c], -x_det[a, c],
+                 x_det[a, b])
+            s = np.sign(d0)
+            lo = np.minimum(np.minimum(s * e[0], s * e[1]),
+                            np.minimum(s * e[2], s * e[3]))
+            solid = np.abs(d0) > margin
+            inside |= solid & (lo > margin)
+            out = solid & (lo < -margin)
+            if not np.all(solid):
+                hi = np.maximum(np.maximum(np.abs(e[0]), np.abs(e[1])),
+                                np.maximum(np.abs(e[2]), np.abs(e[3])))
+                out |= ~solid & (hi > np.abs(d0) + margin)
+            outside &= out
+        verdict[alive] = np.where(inside, 0, np.where(outside, 1, -1))
+        alive = alive[outside]
         if alive.size == 0:
             break
-        p = cur[:, i]
-        others = np.concatenate(
-            [cur[:, [j for j in range(n) if j != i]],
-             np.broadcast_to(floor_xyz, (cur.shape[0],) + floor_xyz.shape)],
-            axis=1)
-        m = others.shape[1]
-        keep = np.ones(cur.shape[0], dtype=bool)
-        for (ia, ib, ic, id_) in itertools.combinations(range(m), 4):
-            idx = np.nonzero(keep)[0]
-            if idx.size == 0:
-                break
-            a, b = others[idx, ia], others[idx, ib]
-            c, d = others[idx, ic], others[idx, id_]
-            pe = p[idx]
-            d0 = _det3(a, b, c, d)
-            s = np.sign(d0)
-            nondeg = np.abs(d0) > margin
-            dets = np.stack([_det3(pe, b, c, d), _det3(a, pe, c, d),
-                             _det3(a, b, pe, d), _det3(a, b, c, pe)])
-            # a flat 4-subset (e.g. four floor vertices) cannot contain a
-            # point that is certifiably off its plane
-            outside = np.where(nondeg,
-                               np.any(dets * s < -margin, axis=0),
-                               np.any(np.abs(dets) > margin, axis=0))
-            inside = nondeg & np.all(dets * s > margin, axis=0)
-            near = ~outside & ~inside
-            verdict[alive[idx[inside]]] = 0
-            verdict[alive[idx[near]]] = -1
-            keep[idx[inside]] = False
-            keep[idx[near]] = False
-        survivors = verdict[alive] == 1
-        alive = alive[survivors]
-        cur = cur[survivors]
     return verdict
 
 

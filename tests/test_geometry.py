@@ -35,6 +35,34 @@ def test_orient3_basic():
     assert geo.orient3(a, b, c, (0, 0, F(1, 10 ** 18))) == 1
 
 
+def _fraction_orient3(a, b, c, d):
+    u, v, w = ([F(q[i]) - F(a[i]) for i in range(3)] for q in (b, c, d))
+    det = (w[0] * (u[1] * v[2] - u[2] * v[1])
+           + w[1] * (u[2] * v[0] - u[0] * v[2])
+           + w[2] * (u[0] * v[1] - u[1] * v[0]))
+    return (det > 0) - (det < 0)
+
+
+def test_orient3_on_the_floor_plane_skips_fractions(monkeypatch):
+    rng = np.random.default_rng(8)
+    floor_sets = [[(float(x), float(y), 0.0) for x, y in rng.random((4, 2))]
+                  for _ in range(50)]
+    floor_sets += [[(0, 0, 0), (1, 0, F(0)), (1, 1, 0.0), (0, 1, 0)],
+                   [(F(1, 3), 0, 0), (2, F(5, 7), 0), (0.5, 0.25, 0), (1, 1, 0)]]
+    # a fourth point just off the plane must not read as flat
+    lifted = [s[:3] + [s[3][:2] + (F(sign, 10 ** 30),)]
+              for s, sign in zip(floor_sets, (1, -1) * 26)]
+    for pts in floor_sets + lifted:
+        assert geo.orient3(*pts) == _fraction_orient3(*pts)
+
+    def no_fractions(p):
+        raise AssertionError("orient3 took the Fraction path")
+
+    monkeypatch.setattr(geo, "_frac", no_fractions)
+    for pts in floor_sets:
+        assert geo.orient3(*pts) == 0
+
+
 # ---------------------------------------------------------------------------
 # 2D hull
 

@@ -9,7 +9,7 @@ import pytest
 from floorconvex import geometry as geo
 from floorconvex import mc
 from floorconvex import sequences as sq
-from floorconvex.bodies import builtin_body
+from floorconvex.bodies import builtin_body, mountain3d
 from floorconvex.samplers import RngStream, sample_body
 from floorconvex.topfunctions import q2_exact_subprism
 
@@ -39,17 +39,37 @@ def test_batch_2d_predicate_matches_exact():
         assert bool(v[i]) == exact
 
 
-def test_batch_3d_predicate_matches_exact():
-    body = builtin_body("tetrahedron")
-    pts = sample_body(body, RngStream(2).generator(), 200 * 3).reshape(200, 3, 3)
+@pytest.mark.parametrize("name, n", [
+    ("tetrahedron", 3), ("tetrahedron", 4), ("tetrahedron", 5),
+    ("mountain3d", 3), ("prism3d", 4), ("frustum3d:0.5", 4),
+    ("mountain3d_offset_apex", 3)])
+def test_batch_3d_predicate_matches_exact(name, n):
+    body = (mountain3d(apex_xy=(0.8, -0.3)) if name == "mountain3d_offset_apex"
+            else builtin_body(name))
+    pts = sample_body(body, RngStream(2).generator(), 200 * n).reshape(200, n, 3)
     fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
     v = mc.convex_position_verdicts_3d(pts, fxyz)
+    assert (v != -1).all()  # sampled floats leave no trial within the margin
     for i in range(200):
         exact = geo.in_convex_position_with_floor_3d(
             [tuple(p) for p in pts[i]], body.floor)
-        if v[i] == -1:
-            continue
         assert bool(v[i]) == exact
+
+
+def test_batch_3d_predicate_never_passes_a_point_on_the_floor():
+    # a point at height 0 inside the floor is in the hull of the floor; the
+    # fan from the first floor vertex must leave its trial ambiguous or failed
+    for name, n in (("prism3d", 1), ("prism3d", 3), ("tetrahedron", 2),
+                    ("tetrahedron", 4)):
+        body = builtin_body(name)
+        pts = sample_body(body, RngStream(4).generator(),
+                          300 * n).reshape(300, n, 3)
+        pts[:, 0, 2] = 0.0
+        fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
+        v = mc.convex_position_verdicts_3d(pts, fxyz)
+        assert not (v == 1).any()
+        assert mc._resolve(pts, v, geo.in_convex_position_with_floor_3d,
+                           fxyz) == 0
 
 
 def test_chain_verdicts_match_exact():
@@ -60,6 +80,19 @@ def test_chain_verdicts_match_exact():
         if v[i] == -1:
             continue
         assert bool(v[i]) == mc._exact_chain(pts[i])
+
+
+def test_chain_verdicts_walk_tied_heights_as_the_exact_chain():
+    from floorconvex.samplers import sample_density_g1
+    # rows of four, where numpy's default argsort reorders some ties
+    pts = _grid_trials(sample_density_g1, 20_000, 4, 0)
+    heights = np.sort(pts[..., 1], axis=1)
+    ties = (np.diff(heights, axis=1) == 0).any(axis=1)
+    v = mc.chain_verdicts(pts[ties])
+    assert ties.sum() > 1000 and (v != -1).any()
+    for verdict, trial in zip(v, pts[ties]):
+        if verdict != -1:
+            assert bool(verdict) == mc._exact_chain(trial)
 
 
 def test_predicates_handle_crafted_degeneracies():
@@ -270,6 +303,22 @@ def test_worker_count_bit_determinism():
     h4 = mc.estimate_Q2_height(builtin_body("mountain3d"), 120_000, seed=7,
                                workers=4, chunk_size=10_000)
     assert h1.estimate == h4.estimate
+
+
+# n_success of estimate_Q on the 3D benchmark cases, recorded with the earlier
+# predicate that tested every 4-subset of every trial
+MC3D_PINNED = [("tetrahedron", 3, 8775), ("tetrahedron", 4, 2369),
+               ("mountain3d", 3, 9262), ("prism3d", 4, 8700)]
+
+
+@pytest.mark.parametrize("slice_rows", [mc._SLICE, 7_000])
+def test_3d_counts_pinned_across_chunks_and_slices(monkeypatch, slice_rows):
+    # 50k trials in chunks of 20k; 7k-row slices also cut every chunk
+    monkeypatch.setattr(mc, "_SLICE", slice_rows)
+    for i, (name, n, k) in enumerate(MC3D_PINNED):
+        r = mc.estimate_Q(builtin_body(name), n, 50_000, seed=16 + i,
+                          chunk_size=20_000)
+        assert r.n_success == k
 
 
 def test_seed_changes_result():
