@@ -24,8 +24,6 @@ from fractions import Fraction
 from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
                            constant_top, mountain_top, triangle_top)
 
-VOLUME_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Floor polygons
@@ -229,6 +227,13 @@ def mean_height(body: BodyWithFloor) -> float:
     return body.floor_vol * inner
 
 
+def q2_exact(body: BodyWithFloor) -> float:
+    """Two-point convex-position probability Q(2).  The hull of the floor and
+    one point at height h is a cone of volume floor_volume * h / d, so
+    Q(2) = 1 - 2 * floor_volume * E[h] / d."""
+    return 1.0 - 2.0 / body.dimension * (body.floor_vol * mean_height(body))
+
+
 # ---------------------------------------------------------------------------
 # JSON descriptors
 
@@ -310,14 +315,21 @@ def builtin_body(name: str) -> BodyWithFloor:
                      f"{', '.join(sorted(BUILTIN_BODIES))}, frustum2d:<h>, frustum3d:<h>")
 
 
+def load_descriptor(path: str, from_json):
+    """from_json of the JSON object in the file at path; a missing key or a
+    file that holds no object is a ValueError."""
+    with open(path) as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"descriptor {path} is not a JSON object")
+    try:
+        return from_json(d)
+    except KeyError as exc:
+        raise ValueError(f"descriptor {path} lacks the key {exc}") from None
+
+
 def load_body(spec: str) -> BodyWithFloor:
     """Path to a JSON descriptor file, or else a builtin name."""
     if os.path.exists(spec):
-        with open(spec) as fh:
-            d = json.load(fh)
-        try:
-            return body_from_json(d)
-        except KeyError as exc:
-            raise ValueError(
-                f"body descriptor {spec} lacks the key {exc}") from None
+        return load_descriptor(spec, body_from_json)
     return builtin_body(spec)

@@ -12,29 +12,24 @@ import argparse
 import contextlib
 import datetime
 import json
-import os
 import secrets
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__, harness, mc
-from .bodies import (below_volume, body_to_json, floor_volume, layer_volume,
-                     load_body, max_height)
+from .bodies import (SubPrism2D, _top_from_json, below_volume, body_to_json,
+                     builtin_body, floor_volume, layer_volume, load_body,
+                     load_descriptor, max_height, q2_exact)
 from .decomposition import q_decomp
 from .sequences import SEQUENCE_NAMES, sequence
-from .topfunctions import QuadraticTop, constant_top, triangle_top
 
 SCHEMA_VERSION = 1
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,7 @@ def _manifest(args, started: str, seed=None) -> dict:
     return asdict(RunManifest(
         subcommand=args.subcommand, flags=flags, seed=seed,
         version=__version__, schema=SCHEMA_VERSION, started=started,
-        finished=datetime.datetime.now(datetime.timezone.utc).isoformat()))
+        finished=_now()))
 
 
 def _rational(x: Fraction) -> dict:
@@ -78,119 +73,73 @@ def _unlimited_int_digits():
 
 
 def _emit(payload: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    out = getattr(args, "output", None)
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2)
     else:
         text = _to_csv(payload)
-    if out:
-        with open(out, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
 def _to_csv(payload: dict) -> str:
-    lines = [f"# {json.dumps(payload['manifest'])}"]
-    rows = payload.get("rows", [])
-    if rows:
-        keys = list(rows[0])
-        lines.append(",".join(keys))
-        for r in rows:
-            lines.append(",".join(str(r[k]) for k in keys))
-    else:
-        for k, v in payload.items():
-            if k != "manifest":
-                lines.append(f"{k},{v}")
+    """The manifest as a comment line, then the rows; every payload has at
+    least one row, and its other fields are left out."""
+    keys = list(payload["rows"][0])
+    lines = [f"# {json.dumps(payload['manifest'])}", ",".join(keys)]
+    lines += [",".join(str(r[k]) for k in keys) for r in payload["rows"]]
     return "\n".join(lines)
-
-
-def _write_plot(path: str, pairs) -> None:
-    with open(path, "w") as fh:
-        for x, y in pairs:
-            fh.write(f"{x} {y}\n")
 
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("FLOORCONVEX_WORKERS", "1"))
-
-
 # ---------------------------------------------------------------------------
+# Payload subcommands return (payload, seed); main adds the run manifest.
 
-def cmd_exact(args) -> int:
-    started = _now()
-    if args.n < 0:
-        raise CliError("--n must be >= 0")
+def cmd_exact(args):
     seq = sequence(args.seq, args.n)
     with _unlimited_int_digits():
         rows = [{"index": i, **_rational(v)} for i, v in enumerate(seq.values)]
-    payload = {"sequence": seq.name, "method": seq.method, "rows": rows,
-               "manifest": _manifest(args, started)}
-    _emit(payload, args)
-    if args.plot:
-        _write_plot(args.plot, [(i, float(v)) for i, v in enumerate(seq.values)])
-    return 0
+    return {"sequence": seq.name, "method": seq.method, "rows": rows}, None
 
 
-def cmd_estimate(args) -> int:
-    started = _now()
+def cmd_estimate(args):
     seed = args.seed if args.seed is not None else secrets.randbits(32)
-    workers = args.workers if args.workers is not None else _default_workers()
+    run = {"seed": seed, "workers": args.workers}
     kind = args.estimator
-    if kind in ("q", "q2-height", "no-floor"):
-        body = load_body(args.body)
-        if kind == "q":
-            r = mc.estimate_Q(body, args.n, args.samples, seed=seed,
-                              workers=workers)
-        elif kind == "q2-height":
-            r = mc.estimate_Q2_height(body, args.samples, seed=seed,
-                                      workers=workers)
-        else:
-            r = mc.estimate_P(body, args.n, args.samples, seed=seed,
-                              workers=workers)
-    elif kind == "beta1":
-        r = mc.estimate_beta1(args.n, args.samples, seed=seed, workers=workers)
-    elif kind == "beta2":
-        r = mc.estimate_beta2(args.n, args.samples, seed=seed, workers=workers)
+    if kind == "q2-height":
+        r = mc.estimate_Q2_height(load_body(args.body), args.samples, **run)
+    elif kind in ("q", "no-floor"):
+        estimator = mc.estimate_Q if kind == "q" else mc.estimate_P
+        r = estimator(load_body(args.body), args.n, args.samples, **run)
     else:
-        r = mc.estimate_fradius_reduction(args.n, args.samples, seed=seed,
-                                          workers=workers)
-    payload = {"estimator": kind, "body": args.body, "n": args.n,
-               "rows": [asdict(r)], "manifest": _manifest(args, started, seed)}
-    _emit(payload, args)
-    if args.plot:
-        _write_plot(args.plot, [(args.n, r.estimate)])
-    return 0
+        estimator = {"beta1": mc.estimate_beta1, "beta2": mc.estimate_beta2,
+                     "fradius": mc.estimate_fradius_reduction}[kind]
+        r = estimator(args.n, args.samples, **run)
+    return {"estimator": kind, "body": args.body, "n": args.n,
+            "rows": [asdict(r)]}, seed
 
 
 def _parse_top(spec: str):
-    if spec == "triangle":
-        return triangle_top()
-    if spec == "square":
-        return constant_top()
-    if spec == "parabola":
-        return QuadraticTop()
+    """pwl:<file> holds a top descriptor; any other spec names a builtin 2D
+    body whose top is taken."""
     if spec.startswith("pwl:"):
-        from .bodies import _top_from_json
-        with open(spec[4:]) as fh:
-            return _top_from_json(json.load(fh))
-    raise CliError(f"unknown top {spec!r}; use triangle, square, parabola "
-                   f"or pwl:<file>")
+        return load_descriptor(spec[4:], _top_from_json)
+    body = builtin_body(spec)
+    if not isinstance(body, SubPrism2D):
+        raise ValueError(f"body {spec!r} has no top function; use a 2D "
+                         f"body under a top, such as triangle, or pwl:<file>")
+    return body.top
 
 
-def cmd_quadrature(args) -> int:
-    started = _now()
-    top = _parse_top(args.top)
-    r = q_decomp(top, args.n, tol=args.tol, budget=args.budget)
-    payload = {"top": args.top, "n": args.n, "rows": [asdict(r)],
-               "manifest": _manifest(args, started)}
-    _emit(payload, args)
-    return 0
+def cmd_quadrature(args):
+    r = q_decomp(_parse_top(args.top), args.n, tol=args.tol,
+                 budget=args.budget)
+    return {"top": args.top, "n": args.n, "rows": [asdict(r)]}, None
 
 
 def cmd_verify(args) -> int:
@@ -214,24 +163,23 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 2
 
 
-def cmd_body(args) -> int:
-    started = _now()
+def cmd_body(args):
+    if args.levels < 1:
+        raise ValueError("--levels must be >= 1")
     try:
         body = load_body(args.body)
     except ValueError as exc:
-        raise CliError(f"bad body descriptor: {exc}")
+        raise ValueError(f"bad body descriptor: {exc}")
     hm = max_height(body)
     table = []
     for i in range(args.levels + 1):
         t = hm * i / args.levels
         table.append({"height": t, "layer": layer_volume(body, t),
                       "below": below_volume(body, t)})
-    payload = {"body": body_to_json(body), "dimension": body.dimension,
-               "max_height": hm, "floor_volume": floor_volume(body),
-               "volume": below_volume(body, hm), "rows": table,
-               "manifest": _manifest(args, started)}
-    _emit(payload, args)
-    return 0
+    return {"body": body_to_json(body), "dimension": body.dimension,
+            "max_height": hm, "floor_volume": floor_volume(body),
+            "volume": below_volume(body, hm), "q2": q2_exact(body),
+            "rows": table}, None
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +197,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("exact", help="exact rational sequences")
     sp.add_argument("--seq", required=True, choices=SEQUENCE_NAMES)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--plot", default=None,
-                    help="write two-column plot data to file")
     common(sp)
     sp.set_defaults(func=cmd_exact)
 
@@ -262,8 +208,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--samples", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--plot", default=None)
+    sp.add_argument("--workers", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_estimate)
 
@@ -294,10 +239,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if args.func is cmd_verify:
+            return cmd_verify(args)
+        started = _now()
+        payload, seed = args.func(args)
+        payload["manifest"] = _manifest(args, started, seed)
+        _emit(payload, args)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

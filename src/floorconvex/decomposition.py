@@ -82,25 +82,19 @@ def split(G: TopFunction, t) -> NormalizedSplit:
     if gt <= 0:
         raise ValueError("split needs G(t) > 0")
 
-    def make(knots_raw, mass):
-        if mass <= 0:
-            return None
-        ys = [(x, y * Fraction(1)) for x, y in knots_raw]
-        return PiecewiseLinearTop(tuple(ys))
-
     # NL(x') = (t/|L|) (G(t x') - x' G(t)) at x' in {0, knots/t, 1}
     left = None
     if lmass > 0:
         xs = [Fraction(0)] + [x / t for (x, _) in G.knots if 0 < x < t] + [Fraction(1)]
-        knots = [(x, (G.value(x * t) - x * gt)) for x in xs]
-        left = make(knots, lmass)
+        left = PiecewiseLinearTop(tuple((x, G.value(x * t) - x * gt)
+                                        for x in xs))
     # NR(x') = ((1-t)/|R|) (G(t + (1-t) x') - (1 - x') G(t))
     right = None
     if rmass > 0:
         xs = [Fraction(0)] + [(x - t) / (1 - t) for (x, _) in G.knots if t < x < 1] \
             + [Fraction(1)]
-        knots = [(x, (G.value(t + (1 - t) * x) - (1 - x) * gt)) for x in xs]
-        right = make(knots, rmass)
+        right = PiecewiseLinearTop(tuple(
+            (x, G.value(t + (1 - t) * x) - (1 - x) * gt) for x in xs))
     return NormalizedSplit(t=t, left=left, left_mass=lmass,
                            right=right, right_mass=rmass)
 

@@ -147,8 +147,23 @@ def point_in_conv_3d(p: Point, points) -> bool:
 # ---------------------------------------------------------------------------
 # Convex position together with a floor
 
+def in_convex_position_2d(points) -> bool:
+    """True iff the points are distinct and each is a strict vertex of their
+    hull; collinear sets are not in convex position."""
+    pts = _dedupe(points)
+    if len(pts) < len(points):
+        return False
+    hull = convex_hull_2d(pts)
+    return not hull.degenerate and len(hull.vertices) == len(pts)
+
+
 def in_convex_position_with_floor_2d(points, floor=((0, 0), (1, 0))) -> bool:
-    """True iff every point is a strict vertex of CH(points + floor endpoints)."""
+    """True iff every point is a strict vertex of CH(points + floor endpoints).
+
+    Every point lies strictly above the floor line, so both floor endpoints
+    are always strict vertices: this is in_convex_position_2d of the points
+    and the endpoints together.  No points are trivially in convex position.
+    """
     f0, f1 = floor
     if Fraction(f0[1]) != 0 or Fraction(f1[1]) != 0 or _frac(f0) == _frac(f1):
         raise ValueError("floor must be two distinct points at height 0")
@@ -156,10 +171,7 @@ def in_convex_position_with_floor_2d(points, floor=((0, 0), (1, 0))) -> bool:
         if Fraction(p[1]) <= 0:
             raise ValueError("sample points must have positive height")
     pts = list(points)
-    if len(_dedupe(pts)) < len(pts):
-        return False
-    verts = {_frac(v) for v in convex_hull_2d(pts + [f0, f1]).vertices}
-    return all(_frac(p) in verts for p in pts)
+    return not pts or in_convex_position_2d(pts + [f0, f1])
 
 
 def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:

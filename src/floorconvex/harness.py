@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mc
 from .bodies import (SubPrism2D, below_volume, builtin_body, frustum,
-                     layer_volume, max_height, mountain3d, prism3d,
+                     layer_volume, max_height, mountain3d, prism3d, q2_exact,
                      regular_polygon_floor)
 from .decomposition import q_decomp
 from .samplers import RngStream, sample_density_g2
@@ -111,17 +111,11 @@ def suite_prism_bounds(trials: int = 100, seed: int = 0,
     lo3, hi3 = q2_mountain(3), q2_prism(3)
     for i in range(max(trials // 5, 1)):
         h = float(rng.uniform(1.0, 2.0))
-        body = frustum(h, 3)
-        q2 = 1.0 - 2.0 / 3.0 * _exact_mean_height(body)
+        q2 = q2_exact(frustum(h, 3))
         ok = float(lo3) - 1e-12 <= q2 <= float(hi3) + 1e-12
         rep.add(f"frustum h={h:.3f} d=3: 1/2 <= Q(2) <= 2/3", q2, float(hi3),
                 min(q2 - float(lo3), float(hi3) - q2), ok)
     return _finish(rep, t0)
-
-
-def _exact_mean_height(body) -> float:
-    from .bodies import floor_volume, mean_height
-    return floor_volume(body) * mean_height(body)
 
 
 def suite_ccsf(trials: int = 10, seed: int = 0, samples: int = 200_000) -> Report:

@@ -29,6 +29,8 @@ DEFAULT_CHUNK = 250_000
 # rows per pass of the 3D predicate, whose per-trial cost grows with array size
 _SLICE = 25_000
 LOW_POWER_SUCCESSES = 100
+# first point of every anchored chain
+_ANCHOR = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,13 @@ def convex_position_verdicts_2d(pts: np.ndarray,
     return out
 
 
-def chain_verdicts(pts: np.ndarray, anchor=(1.0, 0.0)) -> np.ndarray:
+def chain_verdicts(pts: np.ndarray) -> np.ndarray:
     """Anchored convex-chain predicate on an (B, n, 2) array.
 
     Rows are sorted by the second coordinate; the walk from the anchor
-    through the sorted points must turn strictly left at every interior
-    point.  This is the 2D functional whose success probability lower-bounds
-    the 3D convex-position probabilities.  The sort is stable, as in
+    _ANCHOR through the sorted points must turn strictly left at every
+    interior point.  This is the 2D functional whose success probability
+    lower-bounds the 3D convex-position probabilities.  The sort is stable, as in
     _exact_chain, so tied heights are walked in the same order by both.
 
     Margin: the same bound as in convex_position_verdicts_2d, with S at least
@@ -130,7 +132,7 @@ def chain_verdicts(pts: np.ndarray, anchor=(1.0, 0.0)) -> np.ndarray:
     """
     order = np.argsort(pts[..., 1], axis=1, kind="stable")
     p = np.take_along_axis(pts, order[..., None], axis=1)
-    a = np.broadcast_to(np.asarray(anchor, dtype=float), (pts.shape[0], 1, 2))
+    a = np.broadcast_to(np.asarray(_ANCHOR, dtype=float), (pts.shape[0], 1, 2))
     chain = np.concatenate([a, p], axis=1)
     d = np.diff(chain, axis=1)
     cross = d[:, :-1, 0] * d[:, 1:, 1] - d[:, :-1, 1] * d[:, 1:, 0]
@@ -268,18 +270,14 @@ def _verdicts_3d_slice(pts, floor_xyz, margin):
 # ---------------------------------------------------------------------------
 # Exact fallbacks for ambiguous trials
 
-def _exact_convex_position_2d(points) -> bool:
-    pts = geometry._dedupe(points)
-    if len(pts) < len(points):
-        return False
-    hull = geometry.convex_hull_2d(pts)
-    return not hull.degenerate and len(hull.vertices) == len(pts)
+# the floorless predicate that settles estimate_P's ambiguous trials
+_exact_convex_position_2d = geometry.in_convex_position_2d
 
 
-def _exact_chain(points, anchor=(1, 0)) -> bool:
+def _exact_chain(points) -> bool:
     rows = sorted(((Fraction(float(x)), Fraction(float(y))) for x, y in points),
                   key=lambda p: p[1])
-    chain = [(Fraction(anchor[0]), Fraction(anchor[1]))] + rows
+    chain = [tuple(map(Fraction, _ANCHOR))] + rows
     for (x0, y0), (x1, y1), (x2, y2) in zip(chain, chain[1:], chain[2:]):
         if (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1) <= 0:
             return False
@@ -387,9 +385,8 @@ def estimate_P(body: BodyWithFloor, n: int, n_samples: int, seed: int = 0,
 def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
                        workers: int = 1,
                        chunk_size: int = DEFAULT_CHUNK) -> EstimateResult:
-    """Q(2) via the cone identity: the hull of one point and the floor is a
-    cone of volume floor_volume * height / d, so
-    Q(2) = 1 - 2 * floor_volume * E[height] / d."""
+    """Q(2) via the cone identity of bodies.q2_exact, with E[height]
+    estimated from sampled heights."""
     _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
     coef = 2.0 * floor_volume(body) / body.dimension

@@ -212,9 +212,17 @@ class MountainMixture:
     components: tuple  # ((s_i, lambda_i), ...) as Fractions
 
     def value(self, x):
+        """Sum of lam * 2 min(x/s, (1-x)/(1-s)), the unit tent with apex
+        (s, 2); the tents at s = 0 and s = 1 are one-sided."""
         total = 0
         for s, lam in self.components:
-            total += lam * mountain_top(s).value(x)
+            if s == 0:
+                tent = 2 * (1 - x)
+            elif s == 1:
+                tent = 2 * x
+            else:
+                tent = 2 * min(x / s, (1 - x) / (1 - s))
+            total += lam * tent
         return total
 
     def total_weight(self) -> Fraction:

@@ -147,6 +147,22 @@ def test_quadrature_pwl_file(capsys, tmp_path):
     assert json.loads(out)["rows"][0]["value"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("argv, desc, says", [
+    (("quadrature", "--n", "2", "--top", "pwl:"), {"kind": "pwl"}, "'knots'"),
+    (("quadrature", "--n", "2", "--top", "pwl:"), {"knots": []}, "'kind'"),
+    (("quadrature", "--n", "2", "--top", "pwl:"), [1, 2], "not a JSON object"),
+    (("body", "--body", ""), [1, 2], "not a JSON object"),
+    (("estimate", "--samples", "10", "--body", ""), "mountain",
+     "not a JSON object"),
+])
+def test_malformed_descriptor_exits_1(capsys, tmp_path, argv, desc, says):
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(desc))
+    code, _, err = run(capsys, *argv[:-1], f"{argv[-1]}{path}")
+    assert code == 1
+    assert err.startswith("error:") and says in err
+
+
 def test_body_subcommand(capsys):
     code, out, _ = run(capsys, "body", "--body", "mountain3d", "--levels", "3")
     assert code == 0
@@ -215,11 +231,50 @@ def test_verify_report_file(capsys, tmp_path):
 
 def test_output_file_and_plot(capsys, tmp_path):
     out_file = tmp_path / "seq.json"
-    plot = tmp_path / "seq.dat"
     code, _, _ = run(capsys, "exact", "--seq", "y", "--n", "4",
-                     "--output", str(out_file), "--plot", str(plot))
+                     "--output", str(out_file))
     assert code == 0
     assert json.loads(out_file.read_text())["sequence"] == "y"
-    lines = plot.read_text().strip().splitlines()
-    assert len(lines) == 5
-    assert lines[2].split() == ["2", "0.2"]
+
+
+@pytest.mark.parametrize("name, q2", [
+    ("triangle", 1 / 3), ("square", 1 / 2), ("mountain3d", 1 / 2),
+    ("prism3d", 2 / 3), ("tetrahedron", 1 / 2)])
+def test_body_reports_exact_q2(capsys, name, q2):
+    code, out, _ = run(capsys, "body", "--body", name)
+    assert code == 0
+    assert json.loads(out)["q2"] == pytest.approx(q2, abs=1e-12)
+
+
+def test_frustum_q2_between_the_cone_and_the_prism(capsys):
+    # h = 1 is the prism and h -> 2 the cone, so for 1 < h < 2
+    # 1/3 < Q(2) < 1/2 in 2D and 1/2 < Q(2) < 2/3 in 3D; below h = 1 the
+    # top outgrows the floor and Q(2) rises past the prism's value towards 1
+    for d, lo, hi in ((2, 1 / 3, 1 / 2), (3, 1 / 2, 2 / 3)):
+        q2 = {}
+        for h in (0.1, 0.5, 1.0, 1.1, 1.5, 1.9):
+            code, out, _ = run(capsys, "body", "--body", f"frustum{d}d:{h}")
+            assert code == 0
+            q2[h] = json.loads(out)["q2"]
+        assert q2[1.0] == pytest.approx(hi, abs=1e-12)
+        assert all(lo < q2[h] < hi for h in (1.1, 1.5, 1.9))
+        assert hi < q2[0.5] < q2[0.1] < 1
+
+
+def test_body_levels_below_one_exit_1(capsys):
+    code, _, err = run(capsys, "body", "--body", "square", "--levels", "0")
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_quadrature_top_of_any_2d_builtin(capsys):
+    code, out, _ = run(capsys, "quadrature", "--top", "mountain2d", "--n", "3")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["value"] == pytest.approx(1 / 18)
+
+
+@pytest.mark.parametrize("top", ["mountain3d", "frustum2d:0.5", "nope"])
+def test_quadrature_top_without_a_top_function_exits_1(capsys, top):
+    code, _, err = run(capsys, "quadrature", "--top", top, "--n", "3")
+    assert code == 1
+    assert err.startswith("error:")
