@@ -316,8 +316,8 @@ def builtin_body(name: str) -> BodyWithFloor:
 
 
 def load_descriptor(path: str, from_json):
-    """from_json of the JSON object in the file at path; a missing key or a
-    file that holds no object is a ValueError."""
+    """from_json of the JSON object in the file at path; a file that holds no
+    object, or a key that is missing or malformed, is a ValueError."""
     with open(path) as fh:
         d = json.load(fh)
     if not isinstance(d, dict):
@@ -326,6 +326,8 @@ def load_descriptor(path: str, from_json):
         return from_json(d)
     except KeyError as exc:
         raise ValueError(f"descriptor {path} lacks the key {exc}") from None
+    except (TypeError, IndexError, ZeroDivisionError) as exc:
+        raise ValueError(f"descriptor {path} is malformed: {exc}") from None
 
 
 def load_body(spec: str) -> BodyWithFloor:

@@ -2,7 +2,8 @@
 
 Subcommands: exact (rational sequences), estimate (Monte Carlo), quadrature
 (decomposition recursion), verify (inequality suites), body (descriptor
-validation).  Every output embeds a run manifest so results are replayable.
+validation).  Every JSON or CSV output embeds a run manifest so results are
+replayable.
 Exit codes: 0 success, 1 input error, 2 verification failure.
 """
 
@@ -21,7 +22,7 @@ from . import __version__, harness, mc
 from .bodies import (SubPrism2D, _top_from_json, below_volume, body_to_json,
                      builtin_body, floor_volume, layer_volume, load_body,
                      load_descriptor, max_height, q2_exact)
-from .decomposition import q_decomp
+from .decomposition import DEFAULT_BUDGET, q_decomp
 from .sequences import SEQUENCE_NAMES, sequence
 
 SCHEMA_VERSION = 1
@@ -215,8 +216,11 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("quadrature", help="decomposition recursion")
     sp.add_argument("--top", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--budget", type=int, default=200_000)
+    sp.add_argument("--tol", type=float, default=1e-9,
+                    help="error target; unused at n <= 3, exact to rounding")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="integrand evaluations after which no panel "
+                         "bisects and the result is flagged exhausted")
     common(sp)
     sp.set_defaults(func=cmd_quadrature)
 

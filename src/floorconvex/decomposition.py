@@ -11,26 +11,45 @@ vertical-line-preserving affine maps onto the unit-area standard position.
 
 Single-segment (linear) tops split into a mirrored triangle and a triangle,
 which closes the family and gives an exact rational recursion; the quadratic
-top is self-similar and has a closed form.  Everything else is evaluated by
-adaptive Gauss-Legendre quadrature with exact rational splits at the nodes.
+top is self-similar and has a closed form.  Everything else is integrated
+over the knot panels of G, with exact rational splits at the nodes: by a
+3-node Gauss-Legendre rule at n = 3, where the integrand is a polynomial of
+degree <= 5 on each panel, and by adaptive Gauss-Kronrod 7/15 for n >= 4.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .sequences import p_closed, t_closed
-from .topfunctions import PiecewiseLinearTop, QuadraticTop, TopFunction
+from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
+                           q2_exact_subprism)
 
 DEFAULT_BUDGET = 200_000
 MAX_SEGMENTS = 64
 
-# 15-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+# Gauss-Kronrod 7/15 on [-1, 1]: QUADPACK qk15's table rounded to doubles.
+# Kronrod abscissae x_0 > ... > x_7 = 0 with weights _WK; the 7-point Gauss
+# rule uses the odd-indexed abscissae x_1, x_3, x_5, x_7 with weights _WG7.
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+       0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+       0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+       0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+       0.20443294007529889, 0.20948214108472782)
+_WG7 = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+        0.4179591836734694)
+# both rules on all 15 nodes, ascending; the Gauss weight is 0 off its nodes
+_X15 = tuple(-x for x in _XK) + _XK[-2::-1]
+_WK15 = _WK + _WK[-2::-1]
+_WG15 = tuple(_WG7[min(i, 14 - i) // 2] if i % 2 else 0.0 for i in range(15))
+
+# 3-node Gauss-Legendre on [-1, 1], exact for degree <= 5
+_X3 = (-math.sqrt(3 / 5), 0.0, math.sqrt(3 / 5))
+_W3 = (5 / 9, 8 / 9, 5 / 9)
 
 
 @dataclass(frozen=True)
@@ -47,8 +66,10 @@ class NormalizedSplit:
 class QuadratureResult:
     value: float
     error: float          # accumulated error-bound estimate
-    evaluations: int
-    exhausted: bool = False
+    evaluations: int      # integrand calls at every level of the recursion
+    exhausted: bool
+    max_depth: int        # deepest bisection reached in any adaptive panel
+    wall_ms: float
 
 
 def _chord_masses(G: PiecewiseLinearTop, t: Fraction):
@@ -145,14 +166,6 @@ def q_exact_linear(a: Fraction, b: Fraction, n: int) -> Fraction:
     return total
 
 
-def _linear_coeffs(G: PiecewiseLinearTop):
-    """(a, b) if G is a single segment, else None."""
-    if len(G.knots) == 2:
-        (x0, y0), (x1, y1) = G.knots
-        return (y1 - y0) / (x1 - x0), y0
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Adaptive quadrature engine
 
@@ -161,6 +174,7 @@ class _Budget:
         self.limit = limit
         self.used = 0
         self.exhausted = False
+        self.max_depth = 0
 
     def spend(self, k: int) -> bool:
         self.used += k
@@ -173,18 +187,29 @@ def q_decomp(G: TopFunction, n: int, tol: float = 1e-9,
              budget: int = DEFAULT_BUDGET) -> QuadratureResult:
     """Q_n of a top function via the chord-decomposition recursion.
 
-    Linear and quadratic tops dispatch to exact values; other
-    piecewise-linear tops are integrated panel-adaptively, recursing on the
-    split parts (exponential in n; intended for small n).
+    Linear and quadratic tops, and n = 2, dispatch to exact values.  Other
+    piecewise-linear tops are integrated over the knot panels of G,
+    recursing on the split parts (exponential in n; intended for small n).
+    Past budget integrand evaluations no panel bisects, and the result is
+    flagged exhausted.
+
+    At n = 3 the integrand has degree <= 5 on a panel, so 3 Gauss nodes give
+    it exactly up to rounding: there G is linear, |L| and |R| are quadratic,
+    Q_1 = 1, and |L|^2 Q_2(NL) = |L|^2 - P(t)/(2t), where
+    P(t) = int_0^t (t G(s) - s G(t))^2 ds has degree 5 and P(0) = 0 (and
+    likewise |R|^2 Q_2(NR) in 1 - t).  For n >= 4 the panels are adaptive
+    Gauss-Kronrod 7/15.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    t0 = time.perf_counter()
     b = _Budget(budget)
     val, err = _q_decomp(G, n, tol, b)
     return QuadratureResult(value=val, error=err, evaluations=b.used,
-                            exhausted=b.exhausted)
+                            exhausted=b.exhausted, max_depth=b.max_depth,
+                            wall_ms=1e3 * (time.perf_counter() - t0))
 
 
 def _q_decomp(G: TopFunction, n: int, tol: float, budget: _Budget):
@@ -192,12 +217,11 @@ def _q_decomp(G: TopFunction, n: int, tol: float, budget: _Budget):
         return 1.0, 0.0
     if isinstance(G, QuadraticTop):
         return float(p_closed(n)), 0.0
-    lin = _linear_coeffs(G)
-    if lin is not None:
-        return float(q_exact_linear(lin[0], lin[1], n)), 0.0
+    if len(G.knots) == 2:                   # one segment on [0, 1]
+        (_, y0), (_, y1) = G.knots
+        return float(q_exact_linear(y1 - y0, y0, n)), 0.0
     if n == 2:
-        # Q_2 = 1 - (1/2) int G^2, exact for any top
-        return float(1 - G.integral_sq() / 2), 0.0
+        return float(q2_exact_subprism(G)), 0.0
     if len(G.knots) > MAX_SEGMENTS:
         budget.exhausted = True
         return 1.0, 1.0
@@ -219,31 +243,38 @@ def _q_decomp(G: TopFunction, n: int, tol: float, budget: _Budget):
             total += math.comb(n - 1, m) * ql * qr * lterm * rterm
         return float(G.value(tq)) * total
 
+    panel = _gauss3_panel if n == 3 else _adaptive_panel
     knots = [float(x) for (x, _) in G.knots]
     value = 0.0
     err = 0.0
     for lo, hi in zip(knots, knots[1:]):
-        v, e = _adaptive_panel(integrand, lo, hi, tol * (hi - lo), budget)
+        v, e = panel(integrand, lo, hi, tol * (hi - lo), budget)
         value += v
         err += e
     return value, err
 
 
-def _gl15(f, lo: float, hi: float) -> float:
+def _gauss3_panel(f, lo: float, hi: float, tol: float, budget: _Budget):
+    """3-node Gauss-Legendre on [lo, hi]; exact for the n = 3 integrand."""
+    budget.spend(3)
     mid, half = (lo + hi) / 2, (hi - lo) / 2
-    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_X, _GL_W))
+    return half * sum(w * f(mid + half * x) for x, w in zip(_X3, _W3)), 0.0
 
 
 def _adaptive_panel(f, lo: float, hi: float, tol: float, budget: _Budget,
                     depth: int = 0):
-    if not budget.spend(45):
-        return _gl15(f, lo, hi), tol
-    whole = _gl15(f, lo, hi)
-    mid = (lo + hi) / 2
-    halves = _gl15(f, lo, mid) + _gl15(f, mid, hi)
-    diff = abs(whole - halves)
-    if diff <= tol or depth >= 30:
-        return halves, diff
+    """K15 on [lo, hi] with |K15 - G7| as its error, bisected with tol/2
+    until the error is <= tol."""
+    budget.max_depth = max(budget.max_depth, depth)
+    within = budget.spend(15)
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    ys = [f(mid + half * x) for x in _X15]
+    value = half * sum(w * y for w, y in zip(_WK15, ys))
+    err = abs(value - half * sum(w * y for w, y in zip(_WG15, ys)))
+    if not within:
+        return value, tol
+    if err <= tol or depth >= 30:
+        return value, err
     l, el = _adaptive_panel(f, lo, mid, tol / 2, budget, depth + 1)
     r, er = _adaptive_panel(f, mid, hi, tol / 2, budget, depth + 1)
     return l + r, el + er

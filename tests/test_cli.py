@@ -132,7 +132,8 @@ def test_quadrature(capsys):
     assert code == 0
     d = json.loads(out)
     row = d["rows"][0]
-    assert {"value", "error", "evaluations", "exhausted"} == set(row)
+    assert {"value", "error", "evaluations", "exhausted", "max_depth",
+            "wall_ms"} == set(row)
     assert row["value"] == pytest.approx(5 / 36)
 
 
@@ -154,13 +155,20 @@ def test_quadrature_pwl_file(capsys, tmp_path):
     (("body", "--body", ""), [1, 2], "not a JSON object"),
     (("estimate", "--samples", "10", "--body", ""), "mountain",
      "not a JSON object"),
+    (("quadrature", "--n", "3", "--top", "pwl:"),
+     {"kind": "pwl", "knots": [[1, 2]]}, "is malformed"),
+    (("body", "--body", ""), {"kind": "frustum", "dimension": 3, "h": "x"},
+     "is malformed"),
+    (("quadrature", "--n", "3", "--top", "pwl:"),
+     {"kind": "pwl", "knots": [[[0, 0], [1, 1]], [[1, 1], [1, 1]]]},
+     "is malformed"),
 ])
 def test_malformed_descriptor_exits_1(capsys, tmp_path, argv, desc, says):
     path = tmp_path / "desc.json"
     path.write_text(json.dumps(desc))
     code, _, err = run(capsys, *argv[:-1], f"{argv[-1]}{path}")
     assert code == 1
-    assert err.startswith("error:") and says in err
+    assert err.startswith("error:") and says in err and str(path) in err
 
 
 def test_body_subcommand(capsys):

@@ -1,5 +1,6 @@
 """Chord decomposition and the recursive quadrature evaluator."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorconvex import decomposition
 from floorconvex import sequences as sq
 from floorconvex.decomposition import (NormalizedSplit, q_decomp,
                                        q_exact_linear, split)
@@ -158,3 +160,70 @@ def test_q_decomp_input_validation():
 def test_q_decomp_base_cases():
     assert q_decomp(constant_top(), 0).value == 1.0
     assert q_decomp(QuadraticTop(), 1).value == 1.0
+
+
+# ---------------------------------------------------------------------------
+# panel rules
+
+TRAPEZOID = PiecewiseLinearTop(((0, 0), (F(1, 3), 1), (F(2, 3), 1), (1, 0)))
+
+
+def _moment_error(weights, k):
+    got = math.fsum(w * x ** k for x, w in zip(decomposition._X15, weights))
+    return abs(got - (2 / (k + 1) if k % 2 == 0 else 0.0))
+
+
+def test_gauss_kronrod_moments():
+    # K15 integrates x^k exactly on [-1, 1] for k <= 22, G7 for k <= 13,
+    # and neither one degree further
+    for k in range(23):
+        assert _moment_error(decomposition._WK15, k) < 2e-16, k
+    for k in range(14):
+        assert _moment_error(decomposition._WG15, k) < 2e-16, k
+    assert _moment_error(decomposition._WK15, 24) > 1e-9
+    assert _moment_error(decomposition._WG15, 14) > 1e-9
+
+
+def test_three_point_rule_matches_forced_adaptive_at_n3(monkeypatch):
+    # the n = 3 integrand has degree <= 5 on each knot panel, so 3 Gauss
+    # nodes agree with tight adaptive Gauss-Kronrod
+    rng = np.random.default_rng(606)
+    tops = [random_concave_top(rng) for _ in range(40)]
+    fixed = [q_decomp(G, 3) for G in tops]
+    monkeypatch.setattr(decomposition, "_gauss3_panel",
+                        decomposition._adaptive_panel)
+    for G, r in zip(tops, fixed):
+        gk = q_decomp(G, 3, tol=1e-13)
+        assert not r.exhausted and not gk.exhausted
+        assert r.error == 0.0
+        assert abs(r.value - gk.value) < 1e-12
+
+
+@pytest.mark.parametrize("G, n, exact", [
+    (TRAPEZOID, 3, F(41, 576)),
+    (TRAPEZOID, 4, F(187, 23040)),
+    (mountain_top(F(1, 3)), 4, F(1, 180)),
+], ids=["trapezoid_n3", "trapezoid_n4", "tent_n4"])
+def test_q_decomp_known_values(G, n, exact):
+    r = q_decomp(G, n, tol=1e-9)
+    assert not r.exhausted
+    assert abs(r.value - float(exact)) < 1e-12
+
+
+def test_q_decomp_trapezoid_n4_evaluation_count():
+    r = q_decomp(TRAPEZOID, 4, tol=1e-9)
+    assert r.evaluations <= 1_000
+    again = q_decomp(TRAPEZOID, 4, tol=1e-9)
+    assert (again.evaluations, again.max_depth) == (r.evaluations,
+                                                    r.max_depth)
+    assert r.wall_ms > 0
+
+
+def test_adaptive_panel_reports_bisection_depth():
+    # sqrt is no polynomial, so K15 and G7 differ near 0 and panels bisect
+    b = decomposition._Budget(10_000)
+    value, err = decomposition._adaptive_panel(math.sqrt, 0.0, 1.0, 1e-10, b)
+    assert abs(value - 2 / 3) < 1e-10 and err <= 1e-10
+    assert b.max_depth > 0 and not b.exhausted
+    assert b.used > 15 and b.used % 15 == 0
+    assert q_decomp(TRAPEZOID, 3).max_depth == 0     # fixed rule, no bisection
