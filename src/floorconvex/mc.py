@@ -9,6 +9,7 @@ chunk order, so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -79,26 +80,74 @@ def _binomial_result(k: int, n: int, seed: int, t0: float) -> EstimateResult:
 
 def convex_position_verdicts_2d(pts: np.ndarray,
                                 floor_xy: np.ndarray | None = None) -> np.ndarray:
-    """Strict convex position of each row of a (B, m, 2) array, together with
-    the (k, 2) floor vertices floor_xy when given.
+    """Strict convex position of each row of a (B, n, 2) array, together with
+    the floor ends floor_xy, two points at height 0, when given.
 
-    Points in strictly convex position are exactly those whose angular order
-    around their centroid forms a strictly convex polygon.
+    Margin.  Let S be the largest coordinate magnitude, floor included, and
+    u = eps/2 the unit roundoff.  Each cross product below is
+    (q - p)_x (s - r)_y - (q - p)_y (s - r)_x for stored points p, q, r, s,
+    built from differences of stored coordinates, each at most 2S and
+    rounded once; each of its two products then meets at most four
+    roundings (two entries, the product, the subtraction), so the computed
+    value is within 4u/(1 - 4u) * 2 * (2S)^2 < 16.01 eps S^2 of the exact
+    one.  The margin 64 eps scale^2, scale = S + 1, is four times that, so
+    a cross product beyond it has the exact sign, and one within it leaves
+    its row ambiguous (-1) for the exact predicate.
 
-    Margin.  Let S be the largest coordinate magnitude and u = eps/2 the unit
-    roundoff.  Each cross product (q - p)_x (r - q)_y - (q - p)_y (r - q)_x
-    is built from differences of stored coordinates, each at most 2S and
-    rounded once; each of its two products then meets at most four roundings
-    (two entries, the product, the subtraction), so the computed value is
-    within 4u/(1 - 4u) * 2 * (2S)^2 < 16.01 eps S^2 of the exact cross
-    product of the stored points.  The margin 64 eps scale^2, scale = S + 1,
-    is four times that, so a cross product beyond it has the exact sign, and
-    a row whose smallest cross product lies within it is left ambiguous.
+    Floorless.  Points in strictly convex position are exactly those whose
+    angular order around their centroid forms a strictly convex polygon; the
+    row's smallest turn decides.
+
+    With the floor.  Let f0, f1 be the floor ends, f0x < f1x, and m =
+    ((f0x + f1x)/2, 0), rounded; it is a stored point, checked to lie
+    strictly between them.  A row with a point at y <= 0 is ambiguous (the
+    exact predicate rejects such a point, so the trial fails).  In every
+    other row each point p is seen from m at an angle in (0, pi), and the key
+    (m_x - p_x)/p_y = -cot(angle) orders the points by angle.  Each row is
+    sorted by the key (stable) and walked f1 -> sorted points -> f0.
+
+    Order certificate.  For consecutive sorted points p, q the step
+    (p - m) x (q - m) is positive exactly when angle(p) < angle(q).  If
+    every step is certified positive, the float order is the exact strict
+    angular order; otherwise the row is ambiguous.  So a rounded key that
+    misorders a near-tie, or two points on one ray from m (a step of
+    exactly 0), never gives a certified verdict.
+
+    Walk.  In strict angular order the n + 2 points are in strictly convex
+    position iff the walk turns strictly left at every sample point.  If it
+    does: with p_0 = f1 and p_n+1 = f0, the walk closed by the floor edge
+    bounds the union of the triangles (m, p_i, p_i+1), whose sectors at m
+    are disjoint, so it is a simple polygon; it also turns strictly left at
+    f1 and f0, by (f1x - f0x) y > 0 with y the height of the neighbouring
+    point, so it is strictly convex and every point is a strict vertex.
+    Conversely, in strictly convex position every point is above the floor
+    line, so the hull has the edge f0 f1, with m in its relative interior;
+    its boundary from f1 to f0 meets each ray from m into the upper
+    half-plane once, so it visits the points in angular order, and a
+    strictly convex polygon turns strictly left at every vertex.  The turns
+    at f1 and f0 are therefore not computed: with the order certified, a
+    row whose smallest turn at a sample point is beyond the margin has the
+    exact verdict, 1 if that turn is positive and 0 if negative.
     """
-    if floor_xy is not None:
-        pts = np.concatenate(
-            [pts, np.broadcast_to(floor_xy, (pts.shape[0],) + floor_xy.shape)],
-            axis=1)
+    if floor_xy is None:
+        return _centroid_verdicts(pts)
+    (f0x, f0y), (f1x, f1y) = sorted(map(tuple, np.asarray(floor_xy, float)))
+    mx = (f0x + f1x) / 2
+    if f0y != 0 or f1y != 0 or not f0x < mx < f1x:
+        raise ValueError("floor must be two points at height 0 with a double "
+                         "strictly between them")
+    y = pts[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        key = (mx - pts[..., 0]) / y
+    out = _walk_verdicts(pts, key, [(f1x, 0.0), (f0x, 0.0)], hub=mx)
+    if y.min() <= 0:
+        out[(y <= 0).any(axis=1)] = -1
+    return out
+
+
+def _centroid_verdicts(pts):
+    """Floorless verdicts: the turns of each row in angular order around its
+    centroid."""
     center = pts.mean(axis=1, keepdims=True)
     ang = np.arctan2(pts[..., 1] - center[..., 1], pts[..., 0] - center[..., 0])
     order = np.argsort(ang, axis=1)
@@ -107,11 +156,54 @@ def convex_position_verdicts_2d(pts: np.ndarray,
     r = np.roll(p, -2, axis=1)
     cross = ((q[..., 0] - p[..., 0]) * (r[..., 1] - q[..., 1])
              - (q[..., 1] - p[..., 1]) * (r[..., 0] - q[..., 0]))
-    scale = np.abs(pts).max() + 1.0
-    margin = 64.0 * _EPS * scale * scale
-    lo = cross.min(axis=1)
-    out = np.where(lo > margin, 1, 0).astype(np.int8)
+    return _certify(cross.min(axis=1), _margin(np.abs(pts).max()))
+
+
+def _margin(s: float) -> float:
+    """64 eps scale^2, scale = s + 1, for the largest coordinate magnitude s."""
+    scale = s + 1.0
+    return 64.0 * _EPS * scale * scale
+
+
+def _certify(lo: np.ndarray, margin: float) -> np.ndarray:
+    """1 where each row's smallest cross product lo is certified positive, 0
+    where certified negative, -1 within the margin."""
+    out = (lo > margin).astype(np.int8)
     out[np.abs(lo) <= margin] = -1
+    return out
+
+
+def _min_cross(vx, vy):
+    """Per row, the smallest cross product v_j x v_j+1 of consecutive vectors
+    given as coordinate lists."""
+    return functools.reduce(np.minimum, (vx[j] * vy[j + 1] - vy[j] * vx[j + 1]
+                                         for j in range(len(vx) - 1)))
+
+
+def _walk_verdicts(pts, key, anchors, hub=None):
+    """Verdicts of the walk through anchors[0], each row's points sorted by
+    key (stable) and anchors[1] when given: the smallest turn at a sample
+    point, certified.  With hub, the steps (p - (hub, 0)) x (q - (hub, 0))
+    of consecutive sorted points must be certified positive too, else the
+    row is -1.  The sorted coordinates are held one contiguous array per
+    point, so each turn is an elementwise pass over the rows."""
+    rows, n = key.shape
+    order = np.argsort(key, axis=1, kind="stable")
+    flat = 2 * (order + n * np.arange(rows)[:, None]).T
+    x = pts.reshape(-1).take(flat)      # x[j]: each row's j-th sorted point
+    y = pts.reshape(-1).take(flat + 1)
+    first, *last = anchors
+    cx = [first[0], *x, *(a[0] for a in last)]
+    cy = [first[1], *y, *(a[1] for a in last)]
+    if len(cx) < 3:
+        return np.ones(rows, dtype=np.int8)
+    dx = [b - a for a, b in zip(cx, cx[1:])]
+    dy = [b - a for a, b in zip(cy, cy[1:])]
+    margin = _margin(max(np.abs(pts).max(),
+                         *map(abs, itertools.chain(*anchors))))
+    out = _certify(_min_cross(dx, dy), margin)
+    if hub is not None and n > 1:
+        out[_min_cross(x - hub, y) <= margin] = -1
     return out
 
 
@@ -130,20 +222,7 @@ def chain_verdicts(pts: np.ndarray) -> np.ndarray:
     values exactly, so every certified verdict is the exact verdict of the
     exact walk.
     """
-    order = np.argsort(pts[..., 1], axis=1, kind="stable")
-    p = np.take_along_axis(pts, order[..., None], axis=1)
-    a = np.broadcast_to(np.asarray(_ANCHOR, dtype=float), (pts.shape[0], 1, 2))
-    chain = np.concatenate([a, p], axis=1)
-    d = np.diff(chain, axis=1)
-    cross = d[:, :-1, 0] * d[:, 1:, 1] - d[:, :-1, 1] * d[:, 1:, 0]
-    if cross.shape[1] == 0:
-        return np.ones(pts.shape[0], dtype=np.int8)
-    scale = max(np.abs(pts).max(), 1.0) + 1.0
-    margin = 64.0 * _EPS * scale * scale
-    lo = cross.min(axis=1)
-    out = np.where(lo > margin, 1, 0).astype(np.int8)
-    out[np.abs(lo) <= margin] = -1
-    return out
+    return _walk_verdicts(pts, pts[..., 1], [_ANCHOR])
 
 
 def _cross(u, v):

@@ -30,16 +30,24 @@ class RngStream:
 # Convex polygon sampling (fan triangulation + square-root map)
 
 def sample_polygon(polygon, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points in a convex polygon, shape (n, 2)."""
+    """n uniform points in a convex polygon, shape (n, 2): a fan triangle
+    (a, b, c) drawn by area, then (1 - r1) a + r1 ((1 - r2) b + r2 c) with
+    r1 = sqrt(U1), r2 = U2, one coordinate at a time."""
     v = np.asarray(polygon, dtype=float)
     a = v[0]
     b, c = v[1:-1], v[2:]
     tri_area = 0.5 * np.abs((b[:, 0] - a[0]) * (c[:, 1] - a[1])
                             - (c[:, 0] - a[0]) * (b[:, 1] - a[1]))
     idx = rng.choice(len(tri_area), size=n, p=tri_area / tri_area.sum())
-    r1 = np.sqrt(rng.random(n))[:, None]
-    r2 = rng.random(n)[:, None]
-    return (1 - r1) * a + r1 * ((1 - r2) * b[idx] + r2 * c[idx])
+    r1 = np.sqrt(rng.random(n))
+    r2 = rng.random(n)
+    s1, s2 = 1 - r1, 1 - r2
+    one = len(tri_area) == 1
+    out = np.empty((n, 2))
+    for k in range(2):
+        bk, ck = (b[0, k], c[0, k]) if one else (b[idx, k], c[idx, k])
+        out[:, k] = s1 * a[k] + r1 * (s2 * bk + r2 * ck)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -123,23 +123,38 @@ class PiecewiseLinearTop:
         return total
 
     def sample_x(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF for the density G, vectorized and closed-form."""
+        """Inverse CDF for the density G, vectorized and closed-form: a draw
+        in a flat segment is r / y0, one in a sloped segment the root d of
+        y0 d + slope d^2 / 2 = r.  A one-segment top takes no search and
+        runs only its own formula; a top with both kinds of segment runs
+        both on every draw and picks, which is cheaper than splitting."""
         xs = np.array([float(k[0]) for k in self.knots])
         ys = np.array([float(k[1]) for k in self.knots])
-        seg_mass = np.diff(xs) * (ys[:-1] + ys[1:]) / 2
-        cum = np.concatenate([[0.0], np.cumsum(seg_mass)])
+        dx = np.diff(xs)
+        cum = np.concatenate([[0.0], np.cumsum(dx * (ys[:-1] + ys[1:]) / 2)])
         cum[-1] = 1.0
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(xs) - 2)
+        slope = np.diff(ys) / dx
+        flat = np.abs(slope) < 1e-13
+        # per segment: x0, y0, the slope (1 where flat, so that the unused
+        # root stays finite) and the divisor of the flat formula
+        seg = np.array([xs[:-1], ys[:-1], np.where(flat, 1.0, slope),
+                        np.where(ys[:-1] > 0, ys[:-1], 1.0)])
+        if len(dx) == 1:
+            x0, y0, s, div = seg[:, 0]
+            d = u / div if flat[0] else _sloped_root(u, y0, s)
+            return np.clip(x0 + d, 0.0, 1.0)
+        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(dx) - 1)
         r = u - cum[idx]
-        x0, dx = xs[idx], xs[idx + 1] - xs[idx]
-        y0, y1 = ys[idx], ys[idx + 1]
-        slope = (y1 - y0) / dx
-        disc = np.maximum(y0 * y0 + 2.0 * slope * r, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lin = r / np.where(y0 > 0, y0, 1.0)
-            quad = (np.sqrt(disc) - y0) / np.where(slope != 0, slope, 1.0)
-        d = np.where(np.abs(slope) < 1e-13, lin, quad)
+        x0, y0, s, div = seg.take(idx, axis=1)
+        d = _sloped_root(r, y0, s)
+        if flat.any():
+            d = np.where(flat[idx], r / div, d)
         return np.clip(x0 + d, 0.0, 1.0)
+
+
+def _sloped_root(r, y0, slope):
+    """The root d of y0 d + slope d^2 / 2 = r that lies in the segment."""
+    return (np.sqrt(np.maximum(y0 * y0 + 2.0 * slope * r, 0.0)) - y0) / slope
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,70 @@ def test_batch_2d_predicate_matches_exact():
         assert bool(v[i]) == exact
 
 
+@pytest.mark.parametrize("name", ["frustum2d:0.5", "frustum2d:1.7",
+                                  "triangle", "parabola"])
+def test_floor_walk_matches_exact(name):
+    # frustum2d:0.5 widens upwards, so its points leave the floor's x-range
+    body = builtin_body(name)
+    fl = np.asarray(body.floor, dtype=float)
+    pts = sample_body(body, RngStream(6).generator(), 2000 * 4).reshape(2000, 4, 2)
+    v = mc.convex_position_verdicts_2d(pts, fl)
+    assert (v != -1).all() and (v == 1).any()
+    for verdict, trial in zip(v, pts):
+        assert bool(verdict) == geo.in_convex_position_with_floor_2d(
+            [tuple(p) for p in trial], floor=body.floor)
+
+
+def test_floor_walk_sends_points_on_the_floor_to_exact():
+    body = builtin_body("frustum2d:0.5")
+    fl = np.asarray(body.floor, dtype=float)
+    pts = sample_body(body, RngStream(8).generator(), 400 * 3).reshape(400, 3, 2)
+    pts[::2, 1, 1] = 0.0
+    pts[::4, 2] = (0.0, 0.0)                 # the floor midpoint: a 0/0 key
+    v = mc.convex_position_verdicts_2d(pts, fl)
+    assert (v[::2] == -1).all() and (v[1::2] != -1).all()
+    assert mc._resolve(pts[::2], v[::2], geo.in_convex_position_with_floor_2d,
+                       fl) == 0
+
+
+def test_floor_walk_certifies_its_order():
+    # a key that swaps each row's first two points, as a rounded key might
+    # on a near-tie, leaves every row ambiguous instead of certified
+    body = builtin_body("frustum2d:0.5")
+    (f0x, _), (f1x, _) = body.floor
+    mx = (f0x + f1x) / 2
+    pts = sample_body(body, RngStream(10).generator(), 500 * 4).reshape(500, 4, 2)
+    rank = np.argsort(np.argsort((mx - pts[..., 0]) / pts[..., 1], axis=1),
+                      axis=1)
+    swapped = np.where(rank < 2, 1 - rank, rank)
+    v = mc._walk_verdicts(pts, swapped, [(f1x, 0.0), (f0x, 0.0)], hub=mx)
+    assert (v == -1).all()
+
+
+def test_floor_walk_never_certifies_two_points_on_one_ray():
+    # p and q on one ray from the floor midpoint m = (1/2, 0): p lies on the
+    # segment from m to q, so the trial fails; exactly on the 1/16 grid, and
+    # within rounding for random rays
+    rng = np.random.default_rng(9)
+    fl = np.array([[0.0, 0.0], [1.0, 0.0]])
+    m = np.array([0.5, 0.0])
+    rows = 2000
+    d = np.column_stack([rng.integers(-4, 5, rows),
+                         rng.integers(1, 5, rows)]) / 16
+    grid = m + np.stack([d, 2 * d, np.broadcast_to([0.25, 0.5], d.shape)],
+                        axis=1)
+    d = np.column_stack([rng.uniform(-1, 1, rows), rng.uniform(0.01, 1, rows)])
+    t = rng.uniform(0.05, 0.5, (rows, 2))
+    rays = m + np.stack([t[:, :1] * d, t[:, 1:] * d, rng.random((rows, 2))],
+                        axis=1)
+    for pts in (grid, rays):
+        for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+            v = mc.convex_position_verdicts_2d(pts[:, perm], fl)
+            assert not (v == 1).any()
+    v = mc.convex_position_verdicts_2d(grid, fl)
+    assert mc._resolve(grid, v, geo.in_convex_position_with_floor_2d, fl) == 0
+
+
 @pytest.mark.parametrize("name, n", [
     ("tetrahedron", 3), ("tetrahedron", 4), ("tetrahedron", 5),
     ("mountain3d", 3), ("prism3d", 4), ("frustum3d:0.5", 4),
@@ -318,6 +382,19 @@ def test_3d_counts_pinned_across_chunks_and_slices(monkeypatch, slice_rows):
     for i, (name, n, k) in enumerate(MC3D_PINNED):
         r = mc.estimate_Q(builtin_body(name), n, 50_000, seed=16 + i,
                           chunk_size=20_000)
+        assert r.n_success == k
+
+
+# n_success of estimate_Q at 200k trials on the 2D benchmark bodies and a
+# frustum wider at the top, recorded with the earlier floor predicate that
+# sorted the points and floor ends by angle around their centroid
+MC2D_PINNED = [("triangle", 3, 11148), ("square", 4, 4708),
+               ("parabola", 4, 2266), ("frustum2d:0.5", 4, 15209)]
+
+
+def test_2d_floor_counts_pinned():
+    for i, (name, n, k) in enumerate(MC2D_PINNED):
+        r = mc.estimate_Q(builtin_body(name), n, 200_000, seed=30 + i)
         assert r.n_success == k
 
 

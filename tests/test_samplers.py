@@ -110,6 +110,31 @@ def test_polygon_sampler_pentagon_containment():
     assert np.all(floor_radius_batch(poly, pts) <= 1 + 1e-9)
 
 
+def ref_sample_polygon(polygon, rng, n):
+    """The polygon sampler as first written, on (n, 2) broadcasts; the
+    oracle for the bit-identity test."""
+    v = np.asarray(polygon, dtype=float)
+    a = v[0]
+    b, c = v[1:-1], v[2:]
+    tri_area = 0.5 * np.abs((b[:, 0] - a[0]) * (c[:, 1] - a[1])
+                            - (c[:, 0] - a[0]) * (b[:, 1] - a[1]))
+    idx = rng.choice(len(tri_area), size=n, p=tri_area / tri_area.sum())
+    r1 = np.sqrt(rng.random(n))[:, None]
+    r2 = rng.random(n)[:, None]
+    return (1 - r1) * a + r1 * ((1 - r2) * b[idx] + r2 * c[idx])
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "prism3d", "mountain3d",
+                                  "pentagon"])
+def test_polygon_sampler_bit_identical_to_reference(name):
+    poly = (regular_polygon_floor(5) if name == "pentagon"
+            else builtin_body(name).floor)
+    got = sample_polygon(poly, RngStream(12).generator(), 300_000)
+    want = ref_sample_polygon(poly, RngStream(12).generator(), 300_000)
+    assert got.shape == want.shape == (300_000, 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_density_g1_moments():
     pts = sample_density_g1(RngStream(10).generator(), N)
     # X has density 2x: mean 2/3, var 1/18; Y uniform

@@ -93,6 +93,44 @@ def test_sample_x_inverts_cdf():
             assert mass == pytest.approx(ui, abs=2e-3)
 
 
+def ref_sample_x(G, u):
+    """The inverse CDF as first written: every draw gathers its segment and
+    runs both formulas; the oracle for the bit-identity test."""
+    xs = np.array([float(k[0]) for k in G.knots])
+    ys = np.array([float(k[1]) for k in G.knots])
+    seg_mass = np.diff(xs) * (ys[:-1] + ys[1:]) / 2
+    cum = np.concatenate([[0.0], np.cumsum(seg_mass)])
+    cum[-1] = 1.0
+    idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(xs) - 2)
+    r = u - cum[idx]
+    x0, dx = xs[idx], xs[idx + 1] - xs[idx]
+    y0, y1 = ys[idx], ys[idx + 1]
+    slope = (y1 - y0) / dx
+    disc = np.maximum(y0 * y0 + 2.0 * slope * r, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lin = r / np.where(y0 > 0, y0, 1.0)
+        quad = (np.sqrt(disc) - y0) / np.where(slope != 0, slope, 1.0)
+    d = np.where(np.abs(slope) < 1e-13, lin, quad)
+    return np.clip(x0 + d, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("G", [
+    triangle_top(), constant_top(), mountain_top(F(1, 3)),
+    PiecewiseLinearTop(((0, 0), (F(1, 3), 1), (F(2, 3), 1), (1, 0))),
+    PiecewiseLinearTop(((0, 1), (F(1, 2), 2), (1, 2))),
+    PiecewiseLinearTop(((0, 2), (1, 0)))],
+    ids=["triangle", "square", "tent", "trapezoid", "flat_right", "falling"])
+def test_sample_x_bit_identical_to_reference(G):
+    u = np.random.default_rng(5).random(10 ** 6)
+    u[:4] = (0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.5)
+    xs = np.array([float(x) for x, _ in G.knots])
+    ys = np.array([float(y) for _, y in G.knots])
+    cum = np.cumsum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2)
+    u[4:4 + len(cum)] = cum             # on the segment boundaries
+    got, want = G.sample_x(u), ref_sample_x(G, u)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_mountain_decompose_examples():
     mix = mountain_decompose(mountain_top(F(1, 2)))
     assert mix.components == ((F(1, 2), F(1)),)
