@@ -21,6 +21,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
                            constant_top, mountain_top, triangle_top)
 
@@ -189,29 +191,39 @@ def floor_volume(body: BodyWithFloor) -> float:
     return body.floor_vol
 
 
-def layer_volume(body: BodyWithFloor, t: float) -> float:
-    """(d-1)-volume of the horizontal slice at height t (0 above the body)."""
-    if t < 0:
+def _heights(t):
+    """t as a float array; a negative height is a ValueError."""
+    ts = np.asarray(t, dtype=float)
+    if (ts < 0).any():
         raise ValueError("height must be >= 0")
-    if t > max_height(body):
-        return 0.0
-    if isinstance(body, SubPrism2D):
-        return body.top.level_width(t)
-    return body.floor_vol * layer_dilation(body, t) ** (body.dimension - 1)
+    return ts
 
 
-def below_volume(body: BodyWithFloor, t: float) -> float:
-    """Volume of the body below height t (equals 1 at the top)."""
-    if t < 0:
-        raise ValueError("height must be >= 0")
-    t = min(t, max_height(body))
+def layer_volume(body: BodyWithFloor, t):
+    """(d-1)-volume of the horizontal slice at height t (0 above the body).
+    t is a height or an array of heights; a height gives a float, an array
+    an array of the same shape."""
+    ts = _heights(t)
     if isinstance(body, SubPrism2D):
-        return 1.0 - body.top.area_above(t)
-    if body.c == 1.0:
-        return body.floor_vol * t
-    d = body.dimension
-    return (body.floor_vol * body.H * (layer_dilation(body, t) ** d - 1.0)
-            / (d * (body.c - 1.0)))
+        return body.top.level_width(ts)
+    out = np.where(ts > max_height(body), 0.0, body.floor_vol
+                   * layer_dilation(body, ts) ** (body.dimension - 1))
+    return out if out.ndim else float(out)
+
+
+def below_volume(body: BodyWithFloor, t):
+    """Volume of the body below height t (equals 1 at and above the top).
+    t is a height or an array of heights, taken as in layer_volume."""
+    ts = np.minimum(_heights(t), max_height(body))
+    if isinstance(body, SubPrism2D):
+        out = 1.0 - body.top.area_above(ts)
+    elif body.c == 1.0:
+        out = body.floor_vol * ts
+    else:
+        d = body.dimension
+        out = (body.floor_vol * body.H * (layer_dilation(body, ts) ** d - 1.0)
+               / (d * (body.c - 1.0)))
+    return out if np.ndim(out) else float(out)
 
 
 def mean_height(body: BodyWithFloor) -> float:

@@ -12,11 +12,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
+import os
+import platform
 import secrets
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__, harness, mc
 from .bodies import (SubPrism2D, _top_from_json, below_volume, body_to_json,
@@ -42,6 +47,17 @@ class RunManifest:
     schema: int
     started: str
     finished: str
+    python: str
+    numpy: str
+    platform: str
+    cpu_count: int | None
+
+
+@functools.cache
+def _environment() -> dict:
+    """The interpreter, numpy, platform and CPU count; fixed for a process."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform(), "cpu_count": os.cpu_count()}
 
 
 def _manifest(args, started: str, seed=None) -> dict:
@@ -49,7 +65,7 @@ def _manifest(args, started: str, seed=None) -> dict:
     return asdict(RunManifest(
         subcommand=args.subcommand, flags=flags, seed=seed,
         version=__version__, schema=SCHEMA_VERSION, started=started,
-        finished=_now()))
+        finished=_now(), **_environment()))
 
 
 def _rational(x: Fraction) -> dict:
@@ -172,11 +188,11 @@ def cmd_body(args):
     except ValueError as exc:
         raise ValueError(f"bad body descriptor: {exc}")
     hm = max_height(body)
-    table = []
-    for i in range(args.levels + 1):
-        t = hm * i / args.levels
-        table.append({"height": t, "layer": layer_volume(body, t),
-                      "below": below_volume(body, t)})
+    ts = hm * np.arange(args.levels + 1) / args.levels
+    table = [{"height": t, "layer": layer, "below": below}
+             for t, layer, below in zip(ts.tolist(),
+                                        layer_volume(body, ts).tolist(),
+                                        below_volume(body, ts).tolist())]
     return {"body": body_to_json(body), "dimension": body.dimension,
             "max_height": hm, "floor_volume": floor_volume(body),
             "volume": below_volume(body, hm), "q2": q2_exact(body),

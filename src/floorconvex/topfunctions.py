@@ -9,7 +9,7 @@ piecewise-linear profiles.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,9 +69,7 @@ class PiecewiseLinearTop:
         return ks[-1][1]
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        xs = np.array([float(k[0]) for k in self.knots])
-        ys = np.array([float(k[1]) for k in self.knots])
-        return np.interp(x, xs, ys)
+        return np.interp(x, *self._float_knots())
 
     def integral(self) -> Fraction:
         ks = self.knots
@@ -86,41 +84,41 @@ class PiecewiseLinearTop:
     def max_height(self) -> float:
         return float(max(y for (_, y) in self.knots))
 
-    def level_width(self, t: float) -> float:
-        """Length of the level set {x : G(x) >= t}."""
-        ks = [(float(x), float(y)) for (x, y) in self.knots]
-        if t <= 0:
-            return 1.0
-        if t > max(y for _, y in ks):
-            return 0.0
-        left = 0.0 if ks[0][1] >= t else None
-        right = 1.0 if ks[-1][1] >= t else None
-        for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
-            if left is None and y0 < t <= y1:
-                left = x0 + (t - y0) * (x1 - x0) / (y1 - y0)
-            if y0 >= t > y1:
-                right = x0 + (t - y0) * (x1 - x0) / (y1 - y0)
-        if left is None or right is None:
-            return 0.0
-        return max(right - left, 0.0)
+    def level_width(self, t):
+        """Length of the level set {x : G(x) >= t}, for a height or an array
+        of heights; 1 at t <= 0, 0 above the top."""
+        ts = np.asarray(t, dtype=float)
+        xs, ys = self._float_knots()
+        # the level set is [left, right]; on a concave top each height in
+        # (0, max] crosses one rising and one falling segment, or an end
+        left, right = np.zeros(ts.shape), np.ones(ts.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+                cross = x0 + (ts - y0) * (x1 - x0) / (y1 - y0)
+                left = np.where((y0 < ts) & (ts <= y1), cross, left)
+                right = np.where((y0 >= ts) & (ts > y1), cross, right)
+        width = np.maximum(right - left, 0.0)
+        out = np.where(ts <= 0, 1.0, np.where(ts > ys.max(), 0.0, width))
+        return out if out.ndim else float(out)
 
-    def area_above(self, t: float) -> float:
-        """Integral of max(G - t, 0)."""
-        ks = [(float(x), float(y)) for (x, y) in self.knots]
-        total = 0.0
-        for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
-            a0, a1 = y0 - t, y1 - t
-            if a0 <= 0 and a1 <= 0:
-                continue
-            if a0 >= 0 and a1 >= 0:
-                total += (x1 - x0) * (a0 + a1) / 2
-            else:
+    def area_above(self, t):
+        """Integral of max(G - t, 0), for a height or an array of heights."""
+        ts = np.asarray(t, dtype=float)
+        xs, ys = self._float_knots()
+        total = np.zeros(ts.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+                a0, a1 = y0 - ts, y1 - ts
                 xc = x0 + (0 - a0) * (x1 - x0) / (a1 - a0)
-                if a0 > 0:
-                    total += (xc - x0) * a0 / 2
-                else:
-                    total += (x1 - xc) * a1 / 2
-        return total
+                part = np.where(a0 > 0, (xc - x0) * a0 / 2, (x1 - xc) * a1 / 2)
+                part = np.where((a0 >= 0) & (a1 >= 0),
+                                (x1 - x0) * (a0 + a1) / 2, part)
+                total += np.where((a0 <= 0) & (a1 <= 0), 0.0, part)
+        return total if total.ndim else float(total)
+
+    def _float_knots(self):
+        return (np.array([float(x) for x, _ in self.knots]),
+                np.array([float(y) for _, y in self.knots]))
 
     def sample_x(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF for the density G, vectorized and closed-form: a draw
@@ -128,8 +126,7 @@ class PiecewiseLinearTop:
         y0 d + slope d^2 / 2 = r.  A one-segment top takes no search and
         runs only its own formula; a top with both kinds of segment runs
         both on every draw and picks, which is cheaper than splitting."""
-        xs = np.array([float(k[0]) for k in self.knots])
-        ys = np.array([float(k[1]) for k in self.knots])
+        xs, ys = self._float_knots()
         dx = np.diff(xs)
         cum = np.concatenate([[0.0], np.cumsum(dx * (ys[:-1] + ys[1:]) / 2)])
         cum[-1] = 1.0
@@ -179,11 +176,13 @@ class QuadraticTop:
     def max_height(self) -> float:
         return 1.5
 
-    def level_width(self, t: float) -> float:
-        return math.sqrt(max(1.0 - 2.0 * t / 3.0, 0.0))
+    def level_width(self, t):
+        out = np.sqrt(np.maximum(1.0 - 2.0 * np.asarray(t, float) / 3.0, 0.0))
+        return out if out.ndim else float(out)
 
-    def area_above(self, t: float) -> float:
-        return max(1.0 - 2.0 * t / 3.0, 0.0) ** 1.5
+    def area_above(self, t):
+        out = np.maximum(1.0 - 2.0 * np.asarray(t, float) / 3.0, 0.0) ** 1.5
+        return out if out.ndim else float(out)
 
     def sample_x(self, u: np.ndarray) -> np.ndarray:
         # closed-form inverse of the CDF 3x^2 - 2x^3
@@ -226,19 +225,29 @@ class MountainMixture:
     """Weights of unit 2D mountains reconstructing a concave pwl profile."""
     components: tuple  # ((s_i, lambda_i), ...) as Fractions
 
-    def value(self, x):
+    def values(self, xs) -> list:
         """Sum of lam * 2 min(x/s, (1-x)/(1-s)), the unit tent with apex
-        (s, 2); the tents at s = 0 and s = 1 are one-sided."""
-        total = 0
-        for s, lam in self.components:
-            if s == 0:
-                tent = 2 * (1 - x)
-            elif s == 1:
-                tent = 2 * x
-            else:
-                tent = 2 * min(x / s, (1 - x) / (1 - s))
-            total += lam * tent
-        return total
+        (s, 2), at each x of xs, exactly.  A tent takes the x side at x <= s
+        and the (1-x) side at x >= s; the one at s = 0 always counts on the
+        (1-x) side, the one at s = 1 on the x side.  With the components
+        sorted by s, the sum at x is x times the suffix sum of 2 lam/s over
+        the x side plus (1-x) times the prefix sum of 2 lam/(1-s) below it."""
+        comps = sorted(self.components)
+        apexes = [s for s, _ in comps]
+        zeros = bisect_right(apexes, 0)
+        suffix = [Fraction(0)]          # reversed: from the last component
+        for s, lam in reversed(comps[zeros:]):
+            suffix.append(suffix[-1] + 2 * lam / s)
+        prefix = [Fraction(0)]
+        for s, lam in comps:
+            if s == 1:
+                break
+            prefix.append(prefix[-1] + 2 * lam / (1 - s))
+        out = []
+        for x in xs:
+            i = max(bisect_left(apexes, x), zeros)
+            out.append(x * suffix[len(comps) - i] + (1 - x) * prefix[i])
+        return out
 
     def total_weight(self) -> Fraction:
         return sum(lam for _, lam in self.components)

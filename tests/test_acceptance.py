@@ -166,9 +166,9 @@ def test_criterion_8_property_suites():
         G = random_concave_top(rng)
         mix = mountain_decompose(G)
         assert mix.total_weight() == 1
-        for k in range(0, 65, 8):
-            assert abs(float(mix.value(F(k, 64)) - F(G.value(F(k, 64))))) \
-                < 1e-12
+        xs = [F(k, 64) for k in range(0, 65, 8)]
+        for x, v in zip(xs, mix.values(xs)):
+            assert abs(float(v - F(G.value(x)))) < 1e-12
 
     # split mass identity, exact
     from floorconvex.decomposition import split

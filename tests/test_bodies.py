@@ -13,7 +13,8 @@ from floorconvex.bodies import (SubPrism2D, below_volume, body_from_json,
                                 mean_height, mountain3d,
                                 normalize_floor_polygon, polygon_area,
                                 prism3d, regular_polygon_floor, tetrahedron)
-from floorconvex.topfunctions import QuadraticTop, triangle_top
+from floorconvex.topfunctions import (PiecewiseLinearTop, QuadraticTop,
+                                      random_concave_top, triangle_top)
 
 ALL_BUILTINS = ("triangle", "square", "parabola", "mountain2d", "mountain3d",
                 "prism3d", "tetrahedron", "frustum2d:0.8", "frustum3d:0.5")
@@ -166,3 +167,126 @@ def test_negative_height_raises():
         layer_volume(prism3d(), -0.1)
     with pytest.raises(ValueError):
         below_volume(prism3d(), -0.1)
+    with pytest.raises(ValueError):
+        below_volume(builtin_body("triangle"), np.array([0.5, -1e-300]))
+
+
+# ---------------------------------------------------------------------------
+# Heights as arrays, against the scalar code the array code replaced
+
+def ref_level_width(top, t):
+    if isinstance(top, QuadraticTop):
+        return math.sqrt(max(1.0 - 2.0 * t / 3.0, 0.0))
+    ks = [(float(x), float(y)) for (x, y) in top.knots]
+    if t <= 0:
+        return 1.0
+    if t > max(y for _, y in ks):
+        return 0.0
+    left = 0.0 if ks[0][1] >= t else None
+    right = 1.0 if ks[-1][1] >= t else None
+    for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
+        if left is None and y0 < t <= y1:
+            left = x0 + (t - y0) * (x1 - x0) / (y1 - y0)
+        if y0 >= t > y1:
+            right = x0 + (t - y0) * (x1 - x0) / (y1 - y0)
+    if left is None or right is None:
+        return 0.0
+    return max(right - left, 0.0)
+
+
+def ref_area_above(top, t):
+    if isinstance(top, QuadraticTop):
+        return max(1.0 - 2.0 * t / 3.0, 0.0) ** 1.5
+    ks = [(float(x), float(y)) for (x, y) in top.knots]
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
+        a0, a1 = y0 - t, y1 - t
+        if a0 <= 0 and a1 <= 0:
+            continue
+        if a0 >= 0 and a1 >= 0:
+            total += (x1 - x0) * (a0 + a1) / 2
+        else:
+            xc = x0 + (0 - a0) * (x1 - x0) / (a1 - a0)
+            if a0 > 0:
+                total += (xc - x0) * a0 / 2
+            else:
+                total += (x1 - xc) * a1 / 2
+    return total
+
+
+def ref_layer_volume(body, t):
+    if t > max_height(body):
+        return 0.0
+    if isinstance(body, SubPrism2D):
+        return ref_level_width(body.top, t)
+    lam = 1.0 + (body.c - 1.0) * t / body.H
+    return body.floor_vol * lam ** (body.dimension - 1)
+
+
+def ref_below_volume(body, t):
+    t = min(t, max_height(body))
+    if isinstance(body, SubPrism2D):
+        return 1.0 - ref_area_above(body.top, t)
+    if body.c == 1.0:
+        return body.floor_vol * t
+    d = body.dimension
+    lam = 1.0 + (body.c - 1.0) * t / body.H
+    return (body.floor_vol * body.H * (lam ** d - 1.0)
+            / (d * (body.c - 1.0)))
+
+
+def _array_bodies():
+    rng = np.random.default_rng(12)
+    return ([builtin_body(name) for name in ALL_BUILTINS]
+            + [frustum(h, d) for h in (0.05, 0.3, 1.0, 1.5, 1.95)
+               for d in (2, 3)]
+            + [mountain3d(apex_xy=(0.4, -0.2))]
+            + [SubPrism2D(random_concave_top(rng)) for _ in range(30)])
+
+
+def _heights(body):
+    """A grid, 0 and the top exactly, every knot height, and heights above
+    the top."""
+    hm = max_height(body)
+    ts = [*np.linspace(0.0, hm, 301), 0.0, hm, 1.5 * hm, hm + 1.0]
+    if isinstance(body, SubPrism2D) and isinstance(body.top,
+                                                   PiecewiseLinearTop):
+        ts += [float(y) for _, y in body.top.knots]
+    return np.array(ts)
+
+
+def _within_ulps(got, want, scale, ulps=4):
+    return np.all(np.abs(got - want) <= ulps * np.spacing(scale))
+
+
+def test_array_heights_match_the_scalar_code():
+    # the level widths, areas and layers agree to 4 ulp of each value.  The
+    # below-volume agrees to 4 ulp of the unit volume: numpy's vectorised
+    # pow rounds lam^3 and (1 - 2t/3)^1.5 apart from the C library's pow in
+    # the last bit, and 1 - area or lam^d - 1 magnifies that bit where the
+    # volume is small
+    for body in _array_bodies():
+        ts = _heights(body)
+        cases = [(layer_volume, ref_layer_volume, body, None),
+                 (below_volume, ref_below_volume, body, 1.0)]
+        if isinstance(body, SubPrism2D):
+            top = body.top
+            cases += [(type(top).level_width, ref_level_width, top, None),
+                      (type(top).area_above, ref_area_above, top, None)]
+        for array_fn, scalar_fn, arg, unit in cases:
+            got = array_fn(arg, ts)
+            want = np.array([scalar_fn(arg, t) for t in ts.tolist()])
+            assert got.shape == ts.shape
+            scale = np.abs(want) if unit is None else np.maximum(np.abs(want),
+                                                                 unit)
+            assert _within_ulps(got, want, scale), (body, scalar_fn.__name__)
+
+
+def test_a_scalar_height_gives_a_float():
+    for body in _array_bodies()[:12]:
+        hm = max_height(body)
+        for t in (0.0, hm / 3, hm, hm + 1.0):
+            layer, below = layer_volume(body, t), below_volume(body, t)
+            assert type(layer) is float and type(below) is float
+            assert _within_ulps(layer, ref_layer_volume(body, t), abs(layer))
+            assert _within_ulps(below, ref_below_volume(body, t), 1.0)

@@ -25,7 +25,8 @@ def test_exact_json_schema(capsys):
     assert d["sequence"] == "t"
     assert {"sequence", "method", "rows", "manifest"} <= set(d)
     assert {"subcommand", "flags", "seed", "version", "schema", "started",
-            "finished"} == set(d["manifest"])
+            "finished", "python", "numpy", "platform",
+            "cpu_count"} == set(d["manifest"])
     assert len(d["rows"]) == 9
     for i, row in enumerate(d["rows"]):
         assert {"index", "num", "den", "decimal"} == set(row)

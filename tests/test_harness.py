@@ -1,6 +1,7 @@
 """Verification suites: determinism, pass status, report schema."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,19 @@ def test_conjecture_suite_never_fails():
     rep = harness.suite_conjecture(trials=2, seed=3)
     assert rep.passed
     assert all(r.flagged for r in rep.records)
+
+
+def test_volume_suites_keep_their_records():
+    # per-record margins and verdicts at seed 0, as computed by the scalar
+    # below_volume, layer_volume and MountainMixture.value code
+    pinned = json.loads((Path(__file__).parent
+                         / "harness_seed0.json").read_text())
+    for name, want in pinned.items():
+        rep = harness.SUITES[name](seed=0)
+        assert [r.passed for r in rep.records] == want["passed"]
+        assert len(rep.records) == len(want["margin"])
+        for r, margin in zip(rep.records, want["margin"]):
+            assert abs(r.margin - margin) <= 1e-15, (name, r.description)
 
 
 def test_reports_are_deterministic():

@@ -171,6 +171,43 @@ def test_predicates_handle_crafted_degeneracies():
              (Fraction(3, 4), Fraction(1, 2))])
 
 
+def _near_collinear_rows(rng, rows, x_ranges, y_ranges):
+    """Rows of three points: two random ends a, b in the given boxes and
+    a + t (b - a), rounded, between them.  The rounded middle point lies on
+    either side of the line ab or on it, and its turn is far smaller than
+    the rounding error of a cross product of these coordinates."""
+    a, b = (np.column_stack([rng.uniform(*xr, rows), rng.uniform(*yr, rows)])
+            for xr, yr in zip(x_ranges, y_ranges))
+    t = rng.uniform(0.2, 0.8, (rows, 1))
+    return np.stack([a, a + t * (b - a), b], axis=1)
+
+
+def test_margins_leave_rounding_decided_rows_ambiguous():
+    # off the 1/8 grid the float turns at near-collinear points have the
+    # wrong sign on some rows; the margin must send those rows to the exact
+    # path (-1), so every certified verdict equals the exact one
+    rng = np.random.default_rng(0)
+    rows = 4000
+    fl = np.array([[0.0, 0.0], [1.0, 0.0]])
+    top = _near_collinear_rows(rng, rows, [(0.05, 0.35), (0.65, 0.95)],
+                               [(0.3, 0.7), (0.3, 0.7)])
+    below = np.broadcast_to([0.5, 0.05], (rows, 1, 2))
+    chain = _near_collinear_rows(rng, rows, [(0.85, 0.95), (0.1, 0.3)],
+                                 [(0.05, 0.15), (0.35, 0.5)])
+    cases = [(lambda p: mc.convex_position_verdicts_2d(p, fl), top,
+              lambda row: geo.in_convex_position_with_floor_2d(row, fl)),
+             (mc.convex_position_verdicts_2d,
+              np.concatenate([top, below], axis=1),
+              mc._exact_convex_position_2d),
+             (mc.chain_verdicts, chain, mc._exact_chain)]
+    for verdicts, pts, exact in cases:
+        want = np.array([exact([tuple(p) for p in row]) for row in pts])
+        assert 0 < want.sum() < rows        # both verdicts occur
+        v = verdicts(pts)
+        assert (v == -1).mean() > 0.9
+        assert np.array_equal(v[v != -1], want[v != -1])
+
+
 # ---------------------------------------------------------------------------
 # Float-to-exact handoff: on a 1/8 grid ties are common, so the float
 # predicates leave trials ambiguous and _resolve must settle them exactly

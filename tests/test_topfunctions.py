@@ -134,8 +134,10 @@ def test_sample_x_bit_identical_to_reference(G):
 def test_mountain_decompose_examples():
     mix = mountain_decompose(mountain_top(F(1, 2)))
     assert mix.components == ((F(1, 2), F(1)),)
+    assert mix.values([F(1, 2), F(0), F(1), F(1, 4)]) == [2, 0, 0, 1]
     mix = mountain_decompose(constant_top())
     assert mix.components == ((F(0), F(1, 2)), (F(1), F(1, 2)))
+    assert mix.values([F(1), F(0), F(1, 3)]) == [1, 1, 1]
     mix = mountain_decompose(triangle_top())
     assert mix.components == ((F(1), F(1)),)
 
@@ -152,9 +154,9 @@ def test_random_top_round_trip(seed):
     G = random_concave_top(rng)
     mix = mountain_decompose(G)
     assert mix.total_weight() == 1
-    for k in range(0, 65, 4):
-        x = F(k, 64)
-        assert mix.value(x) == F(G.value(x))
+    xs = [F(k, 64) for k in range(0, 65, 4)]
+    for x, v in zip(xs, mix.values(xs)):
+        assert v == F(G.value(x))
 
 
 def test_mountain_top_edges():
