@@ -67,8 +67,6 @@ def polygon_area(polygon) -> float:
 
 UNIT_SQUARE_FLOOR = normalize_floor_polygon(
     [(0, 0), (1, 0), (1, 1), (0, 1)])[0]
-UNIT_TRIANGLE_FLOOR = normalize_floor_polygon(
-    [(0, 0), (1, 0), (0.5, 1)])[0]
 
 
 def regular_polygon_floor(k: int):
@@ -231,12 +229,10 @@ def mean_height(body: BodyWithFloor) -> float:
     if isinstance(body, SubPrism2D):
         return float(body.top.integral_sq()) / 2
     d, c, H = body.dimension, body.c, body.H
-    if c == 1.0:
-        return body.floor_vol * H * H / 2
-    # int t lam(t)^(d-1) dt over [0, H], substituting lam for t
-    inner = (H / (c - 1.0)) ** 2 * ((c ** (d + 1) - 1.0) / (d + 1)
-                                    - (c ** d - 1.0) / d)
-    return body.floor_vol * inner
+    # int t lam(t)^(d-1) dt over [0, H] in the Bernstein basis of lam: every
+    # term is >= 0 for c >= 0, so nothing cancels near the prism c = 1
+    return (body.floor_vol * H * H
+            * sum((j + 1) * c ** j for j in range(d)) / (d * (d + 1)))
 
 
 def q2_exact(body: BodyWithFloor) -> float:

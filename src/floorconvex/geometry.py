@@ -1,15 +1,14 @@
-"""Robust low-level geometry: orientation predicates, the 2D convex hull, 3D
-hull containment and the "in convex position together with the floor"
-predicates.
+"""Robust low-level geometry: orientation predicates, the 2D convex hull and
+the exact "in convex position together with the floor" predicates.
 
-3D containment is decided over non-flat simplices only, which is exact
-when the point set spans 3-space.  The 3D floor predicate guarantees that:
-it requires a floor of positive area and sample points of positive height.
+The floor predicates run the algorithms of the float batch kernels in mc,
+whose docstrings hold the proofs: a walk around the floor midpoint in 2D
+and a fan of simplices from one floor vertex in 3D.
 
-All predicates run a filtered floating-point evaluation first and escalate to
-exact rational arithmetic when the computed determinant falls inside the
-certified error band.  Inputs may mix floats, ints and Fractions; exact
-fallbacks always use the original coordinate values.
+The orientation predicates run a filtered floating-point evaluation first
+and escalate to exact rational arithmetic when the computed determinant
+falls inside the certified error band.  Inputs may mix floats, ints and
+Fractions; exact fallbacks always use the original coordinate values.
 """
 
 from __future__ import annotations
@@ -124,27 +123,6 @@ def convex_hull_2d(points) -> Hull2:
 
 
 # ---------------------------------------------------------------------------
-# 3D hull containment
-
-def point_in_conv_3d(p: Point, points) -> bool:
-    """Weak containment in conv(points) for a small 3D point set that spans
-    3-space.
-
-    By Caratheodory a contained point then lies weakly inside some non-flat
-    simplex of four of the points, so flat simplices are skipped.
-    """
-    for (a, b, c, d) in itertools.combinations(points, 4):
-        s = orient3(a, b, c, d)
-        if s == 0:
-            continue
-        if (orient3(p, b, c, d) * s >= 0 and orient3(a, p, c, d) * s >= 0
-                and orient3(a, b, p, d) * s >= 0
-                and orient3(a, b, c, p) * s >= 0):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Convex position together with a floor
 
 def in_convex_position_2d(points) -> bool:
@@ -157,32 +135,46 @@ def in_convex_position_2d(points) -> bool:
     return not hull.degenerate and len(hull.vertices) == len(pts)
 
 
+def turns_left(walk) -> bool:
+    """True iff the walk turns strictly left at every interior point."""
+    return all(orient2(a, b, c) > 0
+               for a, b, c in zip(walk, walk[1:], walk[2:]))
+
+
 def in_convex_position_with_floor_2d(points, floor=((0, 0), (1, 0))) -> bool:
     """True iff every point is a strict vertex of CH(points + floor endpoints).
 
-    Every point lies strictly above the floor line, so both floor endpoints
-    are always strict vertices: this is in_convex_position_2d of the points
-    and the endpoints together.  No points are trivially in convex position.
+    The exact form of mc.convex_position_verdicts_2d, whose docstring proves
+    the walk: with f0, f1 the floor ends, f0x < f1x, and m their midpoint,
+    the points are sorted by the exact key (m_x - x)/y and the walk f1 ->
+    points -> f0 must turn strictly left at every point.  Two points with one
+    key lie on one ray from m, the nearer in the triangle of the farther and
+    the floor, so such a set fails.  No points are trivially in convex
+    position.
     """
-    f0, f1 = floor
+    f0, f1 = sorted(floor, key=_frac)
     if Fraction(f0[1]) != 0 or Fraction(f1[1]) != 0 or _frac(f0) == _frac(f1):
         raise ValueError("floor must be two distinct points at height 0")
     for p in points:
         if Fraction(p[1]) <= 0:
             raise ValueError("sample points must have positive height")
-    pts = list(points)
-    return not pts or in_convex_position_2d(pts + [f0, f1])
+    mx = (Fraction(f0[0]) + Fraction(f1[0])) / 2
+    by_key = {(mx - Fraction(p[0])) / Fraction(p[1]): p for p in points}
+    if len(by_key) < len(points):
+        return False
+    return turns_left([f1, *(by_key[k] for k in sorted(by_key)), f0])
 
 
 def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:
     """True iff every point is a strict vertex of CH(points + floor vertices).
 
-    floor_polygon: extremal vertices of the floor, given as (x, y) pairs or
-    (x, y, 0) triples.  The floor must have positive area and every point
-    positive height.  Then a single point is always a vertex, and for two or
-    more points the others always span 3-space (the floor spans the plane
-    z = 0 and another point lies above it), which is the full-dimensionality
-    that point_in_conv_3d needs.
+    floor_polygon: vertices of the floor, given as (x, y) pairs or (x, y, 0)
+    triples.  The floor must have positive area and every point positive
+    height.  The exact form of mc.convex_position_verdicts_3d, whose
+    docstring proves the fan: with q0 the first floor vertex after
+    deduplication, a point fails iff it lies weakly inside a non-flat
+    simplex (q0, a, b, c) of three other sample points or floor vertices.
+    The points are tested lowest first.
     """
     floor_pts = []
     for v in floor_polygon:
@@ -201,9 +193,17 @@ def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:
     pts = list(points)
     if len(_dedupe(pts)) < len(pts):
         return False
-    S = pts + _dedupe(floor_pts)
-    return not any(point_in_conv_3d(p, S[:i] + S[i + 1:])
-                   for i, p in enumerate(pts))
+    q0, *floor = _dedupe(floor_pts)
+    for i in sorted(range(len(pts)), key=lambda i: Fraction(pts[i][2])):
+        x, others = pts[i], floor + pts[:i] + pts[i + 1:]
+        for a, b, c in itertools.combinations(others, 3):
+            s = orient3(q0, a, b, c)
+            if s and (orient3(x, a, b, c) * s >= 0
+                      and orient3(q0, x, b, c) * s >= 0
+                      and orient3(q0, a, x, c) * s >= 0
+                      and orient3(q0, a, b, x) * s >= 0):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -255,6 +254,16 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     to y, in conv({q0} + T).  Each point therefore meets C(m - 1, 3)
     simplices, m = |Q|, rather than all C(m, 4) 4-subsets of Q.
 
+    Some non-flat fan simplex holds x, which the exact check
+    geometry.in_convex_position_with_floor_3d needs, as it skips flat ones.
+    x lies in conv(Q) above the floor plane, so Q has a point above it, and
+    with the floor of positive area conv(Q) spans 3-space.  y is on its
+    boundary, so the smallest face holding y is the intersection of the
+    facets that hold it, and one of them misses q0.  By Caratheodory in
+    that facet's plane, y lies in a triangle T of three affinely independent
+    vertices of the facet; q0 is off that plane, else it would be in the
+    facet, so conv({q0} + T) is non-flat and holds x.
+
     Per simplex (q0, a, b, c), d0 = det[a - q0, b - q0, c - q0], and e_k is
     d0 with x in place of its k-th vertex; when d0 != 0, e_k / d0 are the
     barycentric coordinates of x and sum to 1.  The three e_k that keep q0
@@ -354,13 +363,7 @@ _exact_convex_position_2d = geometry.in_convex_position_2d
 
 
 def _exact_chain(points) -> bool:
-    rows = sorted(((Fraction(float(x)), Fraction(float(y))) for x, y in points),
-                  key=lambda p: p[1])
-    chain = [tuple(map(Fraction, _ANCHOR))] + rows
-    for (x0, y0), (x1, y1), (x2, y2) in zip(chain, chain[1:], chain[2:]):
-        if (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1) <= 0:
-            return False
-    return True
+    return geometry.turns_left([_ANCHOR, *sorted(points, key=lambda p: p[1])])
 
 
 def _resolve(pts: np.ndarray, verdict: np.ndarray, exact, *floor) -> int:

@@ -116,6 +116,19 @@ def test_mean_height_matches_quadrature():
         assert mean_height(body) == pytest.approx(num, abs=1e-5)
 
 
+@pytest.mark.parametrize("d", (2, 3))
+def test_mean_height_matches_fractions_near_the_prism(d):
+    # the c != 1 integral in Fraction arithmetic on the body's own floats
+    for h in (1 + 1e-9, 1 - 1e-9, 1 - 1e-7, 0.999, 0.5, 1.5):
+        body = frustum(h, d)
+        c, H = Fraction(body.c), Fraction(body.H)
+        exact = (Fraction(body.floor_vol) * (H / (c - 1)) ** 2
+                 * ((c ** (d + 1) - 1) / (d + 1) - (c ** d - 1) / d))
+        assert abs(Fraction(mean_height(body)) - exact) <= 4e-16 * exact
+    assert mean_height(mountain3d()) == 0.75
+    assert mean_height(tetrahedron()) == 1.5
+
+
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_json_round_trip(name):
     body = builtin_body(name)

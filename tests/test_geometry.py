@@ -1,5 +1,6 @@
 """Robust geometry: predicates, hulls, floor predicates, oracle equivalence."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -194,29 +195,62 @@ def _random_dyadic_points(rng, n, dim, height_positive):
     return pts
 
 
-def test_floor_predicate_2d_matches_lp_oracle():
+def _grid_points(rng, n, step, footprint):
+    """n points on the 1/step grid at heights in (0, 1], each other
+    coordinate up to one step outside the footprint's range."""
+    pts = []
+    for _ in range(n):
+        coords = []
+        for k in range(len(footprint[0])):
+            lo = math.floor(min(F(v[k]) for v in footprint) * step) - 1
+            hi = math.ceil(max(F(v[k]) for v in footprint) * step) + 1
+            coords.append(F(int(rng.integers(lo, hi + 1)), step))
+        coords.append(F(int(rng.integers(1, step + 1)), step))
+        pts.append(tuple(coords))
+    return pts
+
+
+# coarse grids make ties: points on floor edges, on one ray, in one plane
+_GRIDS = (4, 8, 1024)
+_FLOORS_2D = {"unit": ((0, 0), (1, 0)),
+              "right_to_left": ((1, 0), (0, 0)),
+              "off_unit": ((F(-1, 2), 0), (F(3, 4), 0))}
+_FLOORS_3D = {"square": ((0, 0), (1, 0), (1, 1), (0, 1)),
+              "triangle": ((0, 0), (1, 0), (0, 1)),
+              "pentagon": ((F(1, 2), 0), (1, F(3, 8)), (F(3, 4), 1),
+                           (F(1, 4), 1), (0, F(3, 8))),
+              "collinear_vertex": ((0, 0), (F(1, 2), 0), (1, 0), (1, 1),
+                                   (0, 1)),
+              "repeated_vertex": ((0, 0), (1, 0), (1, 1), (1, 1), (0, 1))}
+
+
+@pytest.mark.parametrize("floor_name", _FLOORS_2D)
+@pytest.mark.parametrize("step", _GRIDS)
+def test_floor_predicate_2d_matches_lp_oracle(step, floor_name):
     rng = np.random.default_rng(11)
-    floor = [(0, 0), (1, 0)]
+    floor = _FLOORS_2D[floor_name]
     disagreements = 0
-    for _ in range(400):
+    for _ in range(150):
         n = int(rng.integers(1, 9))
-        pts = _random_dyadic_points(rng, n, 2, True)
-        a = geo.in_convex_position_with_floor_2d(pts)
+        pts = _grid_points(rng, n, step, [(x,) for x, _ in floor])
+        a = geo.in_convex_position_with_floor_2d(pts, floor)
         b = geo.in_convex_position_with_floor_oracle(pts, floor)
         disagreements += a != b
     assert disagreements == 0
 
 
-def test_floor_predicate_3d_matches_lp_oracle():
+@pytest.mark.parametrize("floor_name", _FLOORS_3D)
+@pytest.mark.parametrize("step", _GRIDS)
+def test_floor_predicate_3d_matches_lp_oracle(step, floor_name):
     rng = np.random.default_rng(13)
-    floor = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+    floor = _FLOORS_3D[floor_name]
     disagreements = 0
-    for _ in range(200):
+    for _ in range(80):
         n = int(rng.integers(1, 7))
-        pts = _random_dyadic_points(rng, n, 3, True)
-        a = geo.in_convex_position_with_floor_3d(pts, [(0, 0), (1, 0),
-                                                       (1, 1), (0, 1)])
-        b = geo.in_convex_position_with_floor_oracle(pts, floor)
+        pts = _grid_points(rng, n, step, floor)
+        a = geo.in_convex_position_with_floor_3d(pts, floor)
+        b = geo.in_convex_position_with_floor_oracle(
+            pts, [(x, y, 0) for x, y in floor])
         disagreements += a != b
     assert disagreements == 0
 
