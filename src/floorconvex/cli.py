@@ -76,7 +76,7 @@ def _rational(x: Fraction) -> dict:
 @contextlib.contextmanager
 def _unlimited_int_digits():
     """Lift the interpreter's limit on int-to-decimal conversion (4300 digits
-    by default; ell_n passes it near n = 150) and restore it afterwards."""
+    by default; ell_n first passes it at n = 117) and restore it afterwards."""
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:           # interpreters before 3.10.7 have no limit
         yield

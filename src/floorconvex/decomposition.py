@@ -14,7 +14,7 @@ which closes the family and gives an exact rational recursion; the quadratic
 top is self-similar and has a closed form.  Everything else is integrated
 over the knot panels of G, with exact rational splits at the nodes: by a
 3-node Gauss-Legendre rule at n = 3, where the integrand is a polynomial of
-degree <= 5 on each panel, and by adaptive Gauss-Kronrod 7/15 for n >= 4.
+degree <= 3 on each panel, and by adaptive Gauss-Kronrod 7/15 for n >= 4.
 """
 
 from __future__ import annotations
@@ -193,12 +193,17 @@ def q_decomp(G: TopFunction, n: int, tol: float = 1e-9,
     Past budget integrand evaluations no panel bisects, and the result is
     flagged exhausted.
 
-    At n = 3 the integrand has degree <= 5 on a panel, so 3 Gauss nodes give
-    it exactly up to rounding: there G is linear, |L| and |R| are quadratic,
-    Q_1 = 1, and |L|^2 Q_2(NL) = |L|^2 - P(t)/(2t), where
-    P(t) = int_0^t (t G(s) - s G(t))^2 ds has degree 5 and P(0) = 0 (and
-    likewise |R|^2 Q_2(NR) in 1 - t).  For n >= 4 the panels are adaptive
-    Gauss-Kronrod 7/15.
+    At n = 3 the integrand has degree <= 3 on a panel, so 3 Gauss nodes
+    (exact to degree 5) give it exactly up to rounding.  On a panel G(t) =
+    a + b t is linear, and so are |L| and |R|: d|L|/dt = (G(t) - t G'(t))/2
+    = a/2 is constant.  Q_1 = 1, and |L|^2 Q_2(NL) = |L|^2 - P(t)/(2t), where
+    P(t) = int_0^t (t G(s) - s G(t))^2 ds.  With r(s) = G(s) - a - b s, which
+    vanishes on the panel, t G(s) - s G(t) = a (t - s) + t r(s), so
+    P(t) = a^2 t^3/3 + 2 a t int_0^t (t - s) r(s) ds + t^2 int_0^t r(s)^2 ds.
+    As r vanishes on the panel, both integrals can stop at its left end, so
+    P is a cubic divisible by t, and P(t)/(2t) is quadratic (likewise
+    |R|^2 Q_2(NR) in 1 - t).  The bracket is then quadratic and G times it
+    cubic.  For n >= 4 the panels are adaptive Gauss-Kronrod 7/15.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

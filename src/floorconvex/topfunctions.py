@@ -68,6 +68,26 @@ class PiecewiseLinearTop:
                 return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
         return ks[-1][1]
 
+    def values_exact(self, xs) -> list:
+        """G at each x of the ascending xs, exactly: the same Fractions as
+        ``value``, from one sweep over the segments with one line each.
+        An x below the current segment or above 1 raises ValueError."""
+        ks = self.knots
+        out, i, line = [], 0, None
+        for x in xs:
+            if x < ks[i][0]:
+                raise ValueError("xs must be ascending and inside [0, 1]")
+            while x > ks[i + 1][0]:
+                i, line = i + 1, None
+                if i == len(ks) - 1:
+                    raise ValueError("x outside [0, 1]")
+            if line is None:
+                (x0, y0), (x1, y1) = ks[i], ks[i + 1]
+                slope = (y1 - y0) / (x1 - x0)
+                line = slope, y0 - slope * x0
+            out.append(line[0] * x + line[1])
+        return out
+
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, *self._float_knots())
 

@@ -58,6 +58,21 @@ def test_exact_table_past_the_int_digit_limit(capsys):
         == ell_seq(6)
 
 
+def test_ell_first_passes_the_int_digit_limit_at_117(capsys):
+    default = sys.int_info.default_max_str_digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(default + 1000)
+    try:
+        code, out, err = run(capsys, "exact", "--seq", "ell", "--n", "117")
+        assert sys.get_int_max_str_digits() == default + 1000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0, err
+    digits = [max(len(r["num"]), len(r["den"]))
+              for r in json.loads(out)["rows"]]
+    assert max(digits[:117]) <= default < digits[117]
+
+
 def test_exact_csv_has_manifest_comment(capsys):
     code, out, _ = run(capsys, "exact", "--seq", "t", "--n", "3",
                        "--format", "csv")

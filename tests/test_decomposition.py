@@ -73,6 +73,48 @@ def test_split_mass_identity_and_validity(seed, k):
             assert side is None
 
 
+def _panel_points(G, k):
+    """k rational abscissae strictly inside each knot panel of G."""
+    ks = G.knots
+    return [[x0 + (x1 - x0) * F(j, k + 1) for j in range(1, k + 1)]
+            for (x0, _), (x1, _) in zip(ks, ks[1:])]
+
+
+def _divided_difference(ts, ys):
+    for level in range(1, len(ts)):
+        ys = [(ys[i + 1] - ys[i]) / (ts[i + level] - ts[i])
+              for i in range(len(ys) - 1)]
+    return ys[0]
+
+
+def test_chord_masses_are_affine_on_each_panel():
+    # d|L|/dt = (G(t) - t G'(t))/2, half the intercept of the panel's line
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        G = random_concave_top(rng)
+        for ts in _panel_points(G, 3):
+            masses = [decomposition._chord_masses(G, t) for t in ts]
+            for side in (1, 2):
+                assert _divided_difference(ts, [m[side] for m in masses]) == 0
+            (g0, l0, _), (g1, l1, _) = masses[0], masses[1]
+            slope = (g1 - g0) / (ts[1] - ts[0])
+            assert (l1 - l0) / (ts[1] - ts[0]) == (g0 - ts[0] * slope) / 2
+
+
+def test_n3_integrand_is_a_cubic_on_each_panel():
+    # the degree argument of the 3-node rule in q_decomp, checked exactly
+    def integrand(G, t):
+        sp = split(G, t)
+        lq = q2_exact_subprism(sp.left) if sp.left else 1
+        rq = q2_exact_subprism(sp.right) if sp.right else 1
+        lm, rm = sp.left_mass, sp.right_mass
+        return G.value(t) * (rm * rm * rq + 2 * lm * rm + lm * lm * lq)
+    rng = np.random.default_rng(3)
+    for G in [TRAPEZOID] + [random_concave_top(rng, 4) for _ in range(3)]:
+        for ts in _panel_points(G, 5):
+            assert _divided_difference(ts, [integrand(G, t) for t in ts]) == 0
+
+
 # ---------------------------------------------------------------------------
 # exact linear recursion
 
@@ -185,7 +227,7 @@ def test_gauss_kronrod_moments():
 
 
 def test_three_point_rule_matches_forced_adaptive_at_n3(monkeypatch):
-    # the n = 3 integrand has degree <= 5 on each knot panel, so 3 Gauss
+    # the n = 3 integrand has degree <= 3 on each knot panel, so 3 Gauss
     # nodes agree with tight adaptive Gauss-Kronrod
     rng = np.random.default_rng(606)
     tops = [random_concave_top(rng) for _ in range(40)]

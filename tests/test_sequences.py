@@ -1,5 +1,6 @@
 """Exact rational sequences: frozen reference values and cross-recursions."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -119,7 +120,7 @@ def test_sequences_decrease_from_index_one(n):
 
 
 # Plain-Fraction sums of the four convolution recursions, one term at a
-# time: the oracle for the integer kernel they now share.
+# time: the oracle for the integer kernel they share.
 
 def ref_u(n):
     vals = [F(1)]
@@ -177,36 +178,99 @@ def test_p_and_q_recursions_match_fraction_oracle():
     assert [sq.q_recursive(n) for n in range(ORACLE_N + 1)] == q
 
 
+def _fraction_b(e, n, k):
+    """B(n, k) = D_n / (D_k D_{n-k}) with D_m = e_1 ... e_m, as a Fraction."""
+    def d(m):
+        return math.prod(e[1:m + 1])
+    return F(d(n), d(k) * d(n - k))
+
+
 @pytest.mark.parametrize("m", [6, 7])
-def test_convolve_widens_the_common_denominator(m):
-    vals = [F(1), F(1, 2), F(2, 3), F(3, 5), F(4, 7), F(5, 11), F(6, 13)][:m]
-    dens = [v.denominator for v in vals]
-    # some pair's denominator does not divide the first, dens[0] dens[m-1]
-    assert any(dens[0] * dens[m - 1] % (dens[k] * dens[m - 1 - k])
-               for k in range(m))
-    coef = F(7, 3)
+def test_scaled_sum_pairs_mirror_terms(m):
+    # m terms: three mirror pairs, and a middle term when m is odd
+    a = [3, -1, 4, 1, -5, 9, 2][:m]
+    e = [1, 1, 3, 6, 10, 15, 21, 28]        # j(j+1)/2: Narayana numbers
+    expected = sum(_fraction_b(e, m - 1, k) * a[k] * a[m - 1 - k]
+                   for k in range(m))
+    assert sq._scaled_sum(a, e) == expected
+    # a single unit pair picks out B(m-1, k): twice off the middle
+    for k in range(m):
+        unit = [int(i in (k, m - 1 - k)) for i in range(m)]
+        b = sq._scaled_sum(unit, e)
+        assert b == (1 if 2 * k == m - 1 else 2) * _fraction_b(e, m - 1, k)
+        assert b == (1 if 2 * k == m - 1 else 2) * math.comb(
+            m, k + 1) * math.comb(m, k) // m
+    # binomial B: sum_k C(N, k) = 2^N
+    assert sq._scaled_sum([1] * m, list(range(m + 1))) == 2 ** (m - 1)
 
-    def weight(k):
-        return (k + 1) * (m - k)
-    expected = coef * sum(weight(k) * vals[k] * vals[m - 1 - k]
-                          for k in range(m))
-    assert sq._convolve(vals, coef, weight) == expected
-    assert sq._convolve(vals, coef) == coef * sum(
-        vals[k] * vals[m - 1 - k] for k in range(m))
 
-
-@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=40),
-                min_size=1, max_size=12),
-       st.fractions(min_value=-2, max_value=2, max_denominator=30))
+@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1,
+                max_size=12),
+       st.lists(st.integers(min_value=1, max_value=12), min_size=12,
+                max_size=12))
 @settings(max_examples=60)
-def test_convolve_equals_fraction_sum(vals, coef):
-    m = len(vals)
+def test_scaled_sum_equals_fraction_sum(a, e):
+    # the kernel raises exactly when some B(N, k) is not an integer, and
+    # otherwise equals the Fraction sum
+    e = [1] + e
+    n = len(a) - 1
+    bs = [_fraction_b(e, n, k) for k in range(n + 1)]
+    if any(b.denominator != 1 for b in bs[:n // 2 + 1]):
+        with pytest.raises(ArithmeticError):
+            sq._scaled_sum(a, e)
+    else:
+        assert sq._scaled_sum(a, e) == sum(
+            b * a[k] * a[n - k] for k, b in enumerate(bs))
 
-    def weight(k):
-        return 1 + k * (m - 1 - k)
-    expected = coef * sum(weight(k) * vals[k] * vals[m - 1 - k]
-                          for k in range(m))
-    assert sq._convolve(vals, coef, weight) == expected
+
+# sha256 of "num/den;" in hex for ell_0..ell_150 and u_0..u_150, computed
+# with the common-denominator kernel (sums of reduced Fractions) that the
+# scaled integer kernel replaced
+ELL_150_SHA256 = \
+    "2b8ce890e5b73bb7a6819f1496f50e1b76ba7c488735e94035a37c7c24435537"
+U_150_SHA256 = \
+    "2c41a3c9e1cba5a06786d323765326a2cb417e38dc4693aca6b36ba1fd10579b"
+
+
+def _sha256(vals):
+    h = hashlib.sha256()
+    for v in vals:
+        h.update(f"{v.numerator:x}/{v.denominator:x};".encode())
+    return h.hexdigest()
+
+
+def test_ell_and_u_to_150_match_pinned_digests():
+    assert _sha256(sq.ell_seq(150)) == ELL_150_SHA256
+    assert _sha256(sq.u_seq(150)) == U_150_SHA256
+
+
+def test_step_reciprocals_are_integers_and_every_b_step_divides():
+    f = math.factorial
+    ell_e, u_e = sq._ell_reciprocals(150), sq._u_reciprocals(150)
+    for j in range(1, 151):
+        assert F(1, ell_e[j]) == F(6 * f(j - 1) * f(j), f(2 * j + 1))
+        assert F(1, u_e[j]) == F(6, (j + 2) * (j + 1) * j)
+    # _scaled_sum raises on any remainder of B(N, k-1) e_{N+1-k} / e_k
+    for e in (ell_e, u_e):
+        a = sq._scaled_table(150, e)
+        assert len(a) == 151 and all(isinstance(x, int) for x in a)
+
+
+@pytest.mark.parametrize("j, delta", [(1, 1), (7, -1), (100, 1), (150, 1)])
+def test_a_wrong_reciprocal_raises_or_fails_the_digest(monkeypatch, j,
+                                                       delta):
+    good = sq._ell_reciprocals
+
+    def wrong(n):
+        e = good(n)
+        e[j] += delta
+        return e
+    monkeypatch.setattr(sq, "_ell_reciprocals", wrong)
+    try:
+        vals = sq.ell_seq(150)
+    except ArithmeticError:
+        return
+    assert _sha256(vals) != ELL_150_SHA256
 
 
 def test_tetra_bounds_sandwich_each_other():

@@ -169,3 +169,27 @@ def test_mountain_top_edges():
 def test_value_outside_domain_raises():
     with pytest.raises(ValueError):
         triangle_top().value(F(3, 2))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=50, deadline=None)
+def test_values_exact_sweep_equals_value(seed):
+    rng = np.random.default_rng(seed)
+    G = random_concave_top(rng)
+    # the knots themselves, repeats and points between them
+    xs = sorted({x for x, _ in G.knots} | {F(k, 64) for k in range(65)})
+    xs = [xs[0]] + xs + [xs[-1]]
+    got = G.values_exact(xs)
+    assert got == [G.value(x) for x in xs]
+    assert all(type(v) is F for v in got)
+
+
+def test_values_exact_rejects_unsorted_or_outside():
+    G = PiecewiseLinearTop(((0, 0), (F(1, 2), 1), (1, 0)))
+    assert G.values_exact([]) == []
+    # descending within one segment is still exact
+    assert G.values_exact([F(1, 4), F(1, 8)]) == [G.value(F(1, 4)),
+                                                   G.value(F(1, 8))]
+    for xs in ([F(3, 4), F(1, 4)], [F(-1, 8)], [F(1, 2), F(9, 8)]):
+        with pytest.raises(ValueError):
+            G.values_exact(xs)
