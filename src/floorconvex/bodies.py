@@ -139,9 +139,8 @@ def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
         raise ValueError("dimension must be 2 or 3")
     c = (2.0 / h - 1.0) ** (1.0 / (d - 1))
     if abs(c - 1.0) < 1e-12:
-        c, vol = 1.0, h
-    else:
-        vol = h * (c ** d - 1.0) / (d * (c - 1.0))
+        c = 1.0     # samplers._heights divides by c - 1
+    vol = h * (_power_sum(c, d) / d)
     s = vol ** (-1.0 / d)
     if d == 2:
         floor = ((-0.5 * s, 0.0), (0.5 * s, 0.0))
@@ -171,6 +170,12 @@ def tetrahedron() -> LinearLayerBody:
 
 # ---------------------------------------------------------------------------
 # Layer and below-level volumes
+
+def _power_sum(x, d: int):
+    """1 + x + ... + x^(d-1), x a float or an array; unlike the equal
+    (x^d - 1)/(x - 1), it does not cancel as x -> 1."""
+    return sum(x ** j for j in range(d))
+
 
 def layer_dilation(body: LinearLayerBody, t):
     """lam(t) = 1 + (c - 1) t / H, the dilation of the floor in the layer at
@@ -215,12 +220,10 @@ def below_volume(body: BodyWithFloor, t):
     ts = np.minimum(_heights(t), max_height(body))
     if isinstance(body, SubPrism2D):
         out = 1.0 - body.top.area_above(ts)
-    elif body.c == 1.0:
-        out = body.floor_vol * ts
     else:
         d = body.dimension
-        out = (body.floor_vol * body.H * (layer_dilation(body, ts) ** d - 1.0)
-               / (d * (body.c - 1.0)))
+        out = (body.floor_vol * ts
+               * (_power_sum(layer_dilation(body, ts), d) / d))
     return out if np.ndim(out) else float(out)
 
 

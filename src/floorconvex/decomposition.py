@@ -13,7 +13,7 @@ Single-segment (linear) tops split into a mirrored triangle and a triangle,
 which closes the family and gives an exact rational recursion; the quadratic
 top is self-similar and has a closed form.  Everything else is integrated
 over the knot panels of G, with exact rational splits at the nodes: by a
-3-node Gauss-Legendre rule at n = 3, where the integrand is a polynomial of
+2-node Gauss-Legendre rule at n = 3, where the integrand is a polynomial of
 degree <= 3 on each panel, and by adaptive Gauss-Kronrod 7/15 for n >= 4.
 """
 
@@ -47,9 +47,8 @@ _X15 = tuple(-x for x in _XK) + _XK[-2::-1]
 _WK15 = _WK + _WK[-2::-1]
 _WG15 = tuple(_WG7[min(i, 14 - i) // 2] if i % 2 else 0.0 for i in range(15))
 
-# 3-node Gauss-Legendre on [-1, 1], exact for degree <= 5
-_X3 = (-math.sqrt(3 / 5), 0.0, math.sqrt(3 / 5))
-_W3 = (5 / 9, 8 / 9, 5 / 9)
+# 2-node Gauss-Legendre on [-1, 1], exact for degree <= 3
+_X2 = (-math.sqrt(1 / 3), math.sqrt(1 / 3))
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,8 @@ def q_decomp(G: TopFunction, n: int, tol: float = 1e-9,
     Past budget integrand evaluations no panel bisects, and the result is
     flagged exhausted.
 
-    At n = 3 the integrand has degree <= 3 on a panel, so 3 Gauss nodes
-    (exact to degree 5) give it exactly up to rounding.  On a panel G(t) =
+    At n = 3 the integrand has degree <= 3 on a panel, so 2 Gauss nodes
+    (exact to degree 3) give it exactly up to rounding.  On a panel G(t) =
     a + b t is linear, and so are |L| and |R|: d|L|/dt = (G(t) - t G'(t))/2
     = a/2 is constant.  Q_1 = 1, and |L|^2 Q_2(NL) = |L|^2 - P(t)/(2t), where
     P(t) = int_0^t (t G(s) - s G(t))^2 ds.  With r(s) = G(s) - a - b s, which
@@ -248,7 +247,7 @@ def _q_decomp(G: TopFunction, n: int, tol: float, budget: _Budget):
             total += math.comb(n - 1, m) * ql * qr * lterm * rterm
         return float(G.value(tq)) * total
 
-    panel = _gauss3_panel if n == 3 else _adaptive_panel
+    panel = _gauss2_panel if n == 3 else _adaptive_panel
     knots = [float(x) for (x, _) in G.knots]
     value = 0.0
     err = 0.0
@@ -259,11 +258,11 @@ def _q_decomp(G: TopFunction, n: int, tol: float, budget: _Budget):
     return value, err
 
 
-def _gauss3_panel(f, lo: float, hi: float, tol: float, budget: _Budget):
-    """3-node Gauss-Legendre on [lo, hi]; exact for the n = 3 integrand."""
-    budget.spend(3)
+def _gauss2_panel(f, lo: float, hi: float, tol: float, budget: _Budget):
+    """2-node Gauss-Legendre on [lo, hi]; exact for the n = 3 integrand."""
+    budget.spend(2)
     mid, half = (lo + hi) / 2, (hi - lo) / 2
-    return half * sum(w * f(mid + half * x) for x, w in zip(_X3, _W3)), 0.0
+    return half * sum(f(mid + half * x) for x in _X2), 0.0
 
 
 def _adaptive_panel(f, lo: float, hi: float, tol: float, budget: _Budget,

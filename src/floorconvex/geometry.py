@@ -1,9 +1,10 @@
-"""Robust low-level geometry: orientation predicates, the 2D convex hull and
-the exact "in convex position together with the floor" predicates.
+"""Robust low-level geometry: orientation predicates and the exact convex
+position predicates, without and with a floor.
 
-The floor predicates run the algorithms of the float batch kernels in mc,
-whose docstrings hold the proofs: a walk around the floor midpoint in 2D
-and a fan of simplices from one floor vertex in 3D.
+The convex-position predicates run the algorithms of the float batch
+kernels in mc, whose docstrings hold the proofs: a walk around the
+centroid for the floorless 2D check, a walk around the floor midpoint in
+2D and a fan of simplices from one floor vertex in 3D.
 
 The orientation predicates run a filtered floating-point evaluation first
 and escalate to exact rational arithmetic when the computed determinant
@@ -14,7 +15,6 @@ Fractions; exact fallbacks always use the original coordinate values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 _EPS = 2.220446049250313e-16
@@ -78,13 +78,7 @@ def orient3(a: Point, b: Point, c: Point, d: Point) -> int:
 
 
 # ---------------------------------------------------------------------------
-# 2D hull (monotone chain, strictly convex vertex cycle)
-
-@dataclass(frozen=True)
-class Hull2:
-    vertices: tuple          # ccw cycle of strict vertices
-    degenerate: bool = False  # all input points coincident or collinear
-
+# Convex position
 
 def _dedupe(points):
     seen = set()
@@ -97,48 +91,36 @@ def _dedupe(points):
     return out
 
 
-def convex_hull_2d(points) -> Hull2:
-    pts = _dedupe(points)
-    if not pts:
-        raise ValueError("convex_hull_2d needs at least one point")
-    pts.sort(key=_frac)
-    if len(pts) == 1:
-        return Hull2((pts[0],), degenerate=True)
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and orient2(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    verts = lower[:-1] + upper[:-1]
-    if len(verts) < 3:
-        # all collinear: keep the two extremes
-        return Hull2((pts[0], pts[-1]), degenerate=True)
-    return Hull2(tuple(verts))
-
-
-# ---------------------------------------------------------------------------
-# Convex position together with a floor
-
-def in_convex_position_2d(points) -> bool:
-    """True iff the points are distinct and each is a strict vertex of their
-    hull; collinear sets are not in convex position."""
-    pts = _dedupe(points)
-    if len(pts) < len(points):
-        return False
-    hull = convex_hull_2d(pts)
-    return not hull.degenerate and len(hull.vertices) == len(pts)
-
-
 def turns_left(walk) -> bool:
     """True iff the walk turns strictly left at every interior point."""
     return all(orient2(a, b, c) > 0
                for a, b, c in zip(walk, walk[1:], walk[2:]))
+
+
+def in_convex_position_2d(points) -> bool:
+    """True iff each point is a strict vertex of the points' hull; sets of
+    fewer than 3 points, duplicates and collinear sets are not.
+
+    The exact form of mc._centroid_verdicts, whose docstring proves the
+    walk: the points are sorted by exact angle around their centroid c, and
+    the closed walk in that order must turn strictly left at every point.
+    A point at c, or two points on one ray from c, fails the set.
+    """
+    pts = [_frac(p) for p in points]
+    c = tuple(sum(v) / len(pts) for v in zip(*pts))
+    if len(pts) < 3 or c in pts:
+        return False
+
+    def angle(p):  # rational, in [0, 4), increasing with the angle of p - c
+        dx, dy = p[0] - c[0], p[1] - c[1]
+        t = dy / (abs(dx) + abs(dy))
+        return 2 - t if dx < 0 else 4 + t if dy < 0 else t
+
+    by_angle = {angle(p): p for p in pts}
+    if len(by_angle) < len(pts):
+        return False
+    walk = [by_angle[k] for k in sorted(by_angle)]
+    return turns_left([walk[-1], *walk, walk[0]])
 
 
 def in_convex_position_with_floor_2d(points, floor=((0, 0), (1, 0))) -> bool:

@@ -146,7 +146,22 @@ def convex_position_verdicts_2d(pts: np.ndarray,
 
 def _centroid_verdicts(pts):
     """Floorless verdicts: the turns of each row in angular order around its
-    centroid."""
+    centroid c (rounded, the order that of arctan2; only the turns are
+    certified against the margin).
+
+    In exact arithmetic n >= 3 points are in strictly convex position iff
+    none is at c, no two lie on one ray from c, and the closed walk in
+    angular order around c turns strictly left at every point.  Collinear
+    points fail one of the first two tests, c being on their line.  Else c,
+    a combination of the points with positive weights, is strictly inside
+    their hull, so consecutive points in strict angular order are less
+    than pi apart around c; the walk bounds the union of the ccw triangles
+    (c, p_i, p_i+1), whose sectors at c are disjoint, so it is a simple
+    polygon, strictly convex iff it turns strictly left at every vertex.
+    Conversely, the boundary of a strictly convex polygon meets each ray
+    from the interior point c once, so it visits the points in strict
+    angular order.  geometry.in_convex_position_2d decides exactly this.
+    """
     center = pts.mean(axis=1, keepdims=True)
     ang = np.arctan2(pts[..., 1] - center[..., 1], pts[..., 0] - center[..., 0])
     order = np.argsort(ang, axis=1)
@@ -506,7 +521,7 @@ def estimate_beta2(n: int, n_samples: int, seed: int = 0, workers: int = 1,
 
 
 def estimate_fradius_reduction(n: int, n_samples: int, seed: int = 0,
-                               workers: int = 1, floor_polygon=None,
+                               workers: int = 1,
                                chunk_size: int = DEFAULT_CHUNK) -> EstimateResult:
     """Chain probability of the gauge images of uniform 3D mountain points.
 
@@ -514,7 +529,7 @@ def estimate_fradius_reduction(n: int, n_samples: int, seed: int = 0,
     the floor containing z's horizontal part; the pushforward law is the
     beta2 density, and chain success implies 3D convex position.
     """
-    body = mountain3d(floor_polygon)
+    body = mountain3d()
 
     def sample(rng, total):
         pts = sample_body(body, rng, total)

@@ -129,6 +129,23 @@ def test_mean_height_matches_fractions_near_the_prism(d):
     assert mean_height(tetrahedron()) == 1.5
 
 
+@pytest.mark.parametrize("d", (2, 3))
+def test_volumes_match_fractions_near_the_prism(d):
+    # the body's volume and the volume below H/2, integrated in Fraction
+    # arithmetic on the body's own floats
+    for h in (1 + 1e-9, 1 - 1e-9, 1 - 1e-7, 0.999, 0.5, 1.5):
+        body = frustum(h, d)
+        c, H = Fraction(body.c), Fraction(body.H)
+
+        def below(t):
+            lam = 1 + (c - 1) * t / H
+            return Fraction(body.floor_vol) * H * (lam ** d - 1) / (d * (c - 1))
+        assert abs(below(H) - 1) <= 8e-16, h
+        t = body.H / 2
+        want = below(Fraction(t))
+        assert abs(Fraction(below_volume(body, t)) - want) <= 4e-16 * want, h
+
+
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_json_round_trip(name):
     body = builtin_body(name)

@@ -102,7 +102,7 @@ def test_chord_masses_are_affine_on_each_panel():
 
 
 def test_n3_integrand_is_a_cubic_on_each_panel():
-    # the degree argument of the 3-node rule in q_decomp, checked exactly
+    # the degree argument of the 2-node rule in q_decomp, checked exactly
     def integrand(G, t):
         sp = split(G, t)
         lq = q2_exact_subprism(sp.left) if sp.left else 1
@@ -227,12 +227,12 @@ def test_gauss_kronrod_moments():
 
 
 def test_three_point_rule_matches_forced_adaptive_at_n3(monkeypatch):
-    # the n = 3 integrand has degree <= 3 on each knot panel, so 3 Gauss
+    # the n = 3 integrand has degree <= 3 on each knot panel, so 2 Gauss
     # nodes agree with tight adaptive Gauss-Kronrod
     rng = np.random.default_rng(606)
     tops = [random_concave_top(rng) for _ in range(40)]
     fixed = [q_decomp(G, 3) for G in tops]
-    monkeypatch.setattr(decomposition, "_gauss3_panel",
+    monkeypatch.setattr(decomposition, "_gauss2_panel",
                         decomposition._adaptive_panel)
     for G, r in zip(tops, fixed):
         gk = q_decomp(G, 3, tol=1e-13)

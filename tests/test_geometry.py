@@ -1,12 +1,10 @@
-"""Robust geometry: predicates, hulls, floor predicates, oracle equivalence."""
+"""Robust geometry: predicates, convex-position checks, oracle equivalence."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from floorconvex import geometry as geo
 
@@ -62,77 +60,6 @@ def test_orient3_on_the_floor_plane_skips_fractions(monkeypatch):
     monkeypatch.setattr(geo, "_frac", no_fractions)
     for pts in floor_sets:
         assert geo.orient3(*pts) == 0
-
-
-# ---------------------------------------------------------------------------
-# 2D hull
-
-def test_hull2d_strict_vertices_only():
-    pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)]
-    hull = geo.convex_hull_2d(pts)
-    assert not hull.degenerate
-    assert set(map(geo._frac, hull.vertices)) == set(
-        map(geo._frac, [(0, 0), (2, 0), (2, 2), (0, 2)]))
-
-
-def test_hull2d_collinear_degenerate():
-    hull = geo.convex_hull_2d([(0, 0), (1, 1), (2, 2)])
-    assert hull.degenerate
-    assert set(map(geo._frac, hull.vertices)) == {geo._frac((0, 0)),
-                                                  geo._frac((2, 2))}
-
-
-def test_hull2d_ccw_order():
-    hull = geo.convex_hull_2d([(0, 0), (1, 0), (1, 1), (0, 1)])
-    v = hull.vertices
-    n = len(v)
-    for i in range(n):
-        assert geo.orient2(v[i], v[(i + 1) % n], v[(i + 2) % n]) == 1
-
-
-_dyadic = st.integers(min_value=-512, max_value=512).map(lambda k: F(k, 256))
-_pt2 = st.tuples(_dyadic, _dyadic)
-
-
-@given(st.lists(_pt2, min_size=1, max_size=12))
-@settings(max_examples=80, deadline=None)
-def test_hull2d_idempotent_and_contains_input(pts):
-    hull = geo.convex_hull_2d(pts)
-    if hull.degenerate:
-        return
-    again = geo.convex_hull_2d(list(hull.vertices))
-    assert set(map(geo._frac, again.vertices)) == set(map(geo._frac,
-                                                          hull.vertices))
-    for p in pts:
-        assert geo.point_in_hull_lp(p, pts)
-
-
-@given(st.lists(_pt2, min_size=3, max_size=10), _pt2, _dyadic)
-@settings(max_examples=60, deadline=None)
-def test_hull2d_affine_invariance(pts, shift, scale):
-    if scale == 0:
-        return
-    hull = geo.convex_hull_2d(pts)
-    mapped = [(scale * x + shift[0], scale * y + shift[1]) for (x, y) in pts]
-    hull2 = geo.convex_hull_2d(mapped)
-    assert hull.degenerate == hull2.degenerate
-    assert len(hull.vertices) == len(hull2.vertices)
-
-
-@given(st.lists(_pt2, min_size=4, max_size=10))
-@settings(max_examples=60, deadline=None)
-def test_hull2d_subset_closure(pts):
-    # dropping a non-vertex does not change the hull
-    hull = geo.convex_hull_2d(pts)
-    if hull.degenerate:
-        return
-    verts = set(map(geo._frac, hull.vertices))
-    interior = [p for p in pts if geo._frac(p) not in verts]
-    if not interior:
-        return
-    reduced = [p for p in pts if geo._frac(p) != geo._frac(interior[0])]
-    hull2 = geo.convex_hull_2d(reduced)
-    assert set(map(geo._frac, hull2.vertices)) == verts
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +180,45 @@ def test_floor_predicate_3d_matches_lp_oracle(step, floor_name):
             pts, [(x, y, 0) for x, y in floor])
         disagreements += a != b
     assert disagreements == 0
+
+
+# ---------------------------------------------------------------------------
+# Floorless convex position
+
+def test_floorless_examples():
+    assert geo.in_convex_position_2d([(0, 0), (1, 0), (0, 1)])
+    assert geo.in_convex_position_2d([(0.25, 0.5), (1, 1), (0, 1), (1, 0)])
+    # fewer than three points
+    for pts in ([], [(0, 0)], [(0, 0), (1, 0)]):
+        assert not geo.in_convex_position_2d(pts)
+    # collinear, with a point at the centroid and without
+    assert not geo.in_convex_position_2d([(0, 0), (1, 1), (2, 2)])
+    assert not geo.in_convex_position_2d([(0, 0), (1, 1), (5, 5)])
+    assert not geo.in_convex_position_2d([(0, 0), (1, 0), (3, 0), (7, 0)])
+    # a duplicate point
+    assert not geo.in_convex_position_2d([(0, 0), (1, 0), (0, 1), (1, 0.0)])
+    assert not geo.in_convex_position_2d([(0, 0), (1, 0), (0, 0), (1, 0)])
+    # a point at the centroid of the set (and of the other three)
+    assert not geo.in_convex_position_2d([(0, 0), (3, 0), (0, 3), (1, 1)])
+    # a point on an edge, and a point just outside it
+    edge = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    assert not geo.in_convex_position_2d(edge + [(1, 0)])
+    assert geo.in_convex_position_2d(edge + [(1, F(-1, 10 ** 30))])
+    assert not geo.in_convex_position_2d(edge + [(1, F(1, 10 ** 30))])
+
+
+@pytest.mark.parametrize("step", _GRIDS)
+def test_floorless_predicate_matches_lp_oracle(step):
+    rng = np.random.default_rng(19)
+    verdicts = []
+    for _ in range(150):
+        n = int(rng.integers(3, 9))
+        pts = [tuple(F(int(k), step) for k in rng.integers(0, step + 1, 2))
+               for _ in range(n)]
+        a = geo.in_convex_position_2d(pts)
+        assert a == geo.in_convex_position_with_floor_oracle(pts, []), pts
+        verdicts.append(a)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_subset_closure_of_floor_predicate():
