@@ -137,8 +137,9 @@ def cmd_estimate(args):
         estimator = {"beta1": mc.estimate_beta1, "beta2": mc.estimate_beta2,
                      "fradius": mc.estimate_fradius_reduction}[kind]
         r = estimator(args.n, args.samples, **run)
+    row = asdict(r)
     return {"estimator": kind, "body": args.body, "n": args.n,
-            "rows": [asdict(r)]}, seed
+            "rows": [row], "stats": row.pop("stats")}, seed
 
 
 def _parse_top(spec: str):

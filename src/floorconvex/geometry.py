@@ -147,38 +147,74 @@ def in_convex_position_with_floor_2d(points, floor=((0, 0), (1, 0))) -> bool:
     return turns_left([f1, *(by_key[k] for k in sorted(by_key)), f0])
 
 
+def convex_floor(vertices) -> list:
+    """The floor as (x, y, 0) triples, with repeats of a vertex next to it
+    dropped (the last vertex comes before the first).
+
+    vertices: (x, y) pairs or (x, y, 0) triples.  Raises ValueError unless
+    the floor is at height 0, has positive area and is convex in boundary
+    order, clockwise or counter-clockwise; a vertex in the middle of an edge
+    is allowed.  After the repeats are dropped, the vertices must be
+    distinct and weakly on one side of the line of every edge f_j f_j+1,
+    the same side (left or right) of each edge directed along the order.
+    Then every edge lies in one side of the hull, as its line supports the
+    vertices, and is walked the same way round; each corner of the hull is
+    a vertex, so no edge passes one, and the distinct vertices go round
+    exactly once, in boundary order.
+    """
+    floor = []
+    for v in vertices:
+        if len(v) == 3 and v[2] != 0:
+            raise ValueError("floor vertices must be at height 0")
+        v = (v[0], v[1], 0) if len(v) == 2 else tuple(v)
+        if not floor or v[:2] != floor[-1][:2]:
+            floor.append(v)
+    while len(floor) > 1 and floor[-1][:2] == floor[0][:2]:
+        floor.pop()
+    k = len(floor)
+    sides = {orient2(floor[j][:2], floor[(j + 1) % k][:2], c[:2])
+             for j in range(k) for i, c in enumerate(floor) if (i - j) % k > 1}
+    if sides <= {0}:
+        raise ValueError("floor must have positive area")
+    if {-1, 1} <= sides or len({v[:2] for v in floor}) < k:
+        raise ValueError("floor must be convex, its vertices in boundary order")
+    return floor
+
+
+def floor_fan(k: int, m: int) -> list:
+    """The fan simplices (q0, a, b, c) of mc.convex_position_verdicts_3d, as
+    index triples a < b < c into the k - 1 floor vertices after q0, in
+    boundary order, followed by m sample points: (f_a, f_a+1, p) for each
+    floor edge that misses q0, (f, p, p') for each floor vertex and (p, p',
+    p'')."""
+    floor, pts = range(k - 1), range(k - 1, k - 1 + m)
+    pairs = list(itertools.combinations(pts, 2))
+    return ([(a, a + 1, p) for a in floor[:-1] for p in pts]
+            + [(f, p, q) for f in floor for p, q in pairs]
+            + list(itertools.combinations(pts, 3)))
+
+
 def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:
     """True iff every point is a strict vertex of CH(points + floor vertices).
 
     floor_polygon: vertices of the floor, given as (x, y) pairs or (x, y, 0)
-    triples.  The floor must have positive area and every point positive
+    triples, as convex_floor accepts them.  Every point must have positive
     height.  The exact form of mc.convex_position_verdicts_3d, whose
-    docstring proves the fan: with q0 the first floor vertex after
-    deduplication, a point fails iff it lies weakly inside a non-flat
-    simplex (q0, a, b, c) of three other sample points or floor vertices.
-    The points are tested lowest first.
+    docstring proves the fan: with q0 the first floor vertex, a point fails
+    iff it lies weakly inside a non-flat simplex (q0, a, b, c) of
+    floor_fan.  The points are tested lowest first.
     """
-    floor_pts = []
-    for v in floor_polygon:
-        if len(v) == 3:
-            if Fraction(v[2]) != 0:
-                raise ValueError("floor vertices must be at height 0")
-            floor_pts.append(tuple(v))
-        else:
-            floor_pts.append((v[0], v[1], 0))
-    if not any(orient2(a[:2], b[:2], c[:2])
-               for a, b, c in itertools.combinations(floor_pts, 3)):
-        raise ValueError("floor must have positive area")
+    q0, *floor = convex_floor(floor_polygon)
     for p in points:
         if Fraction(p[2]) <= 0:
             raise ValueError("sample points must have positive height")
     pts = list(points)
     if len(_dedupe(pts)) < len(pts):
         return False
-    q0, *floor = _dedupe(floor_pts)
+    fan = floor_fan(len(floor) + 1, len(pts) - 1)
     for i in sorted(range(len(pts)), key=lambda i: Fraction(pts[i][2])):
         x, others = pts[i], floor + pts[:i] + pts[i + 1:]
-        for a, b, c in itertools.combinations(others, 3):
+        for a, b, c in ((others[a], others[b], others[c]) for a, b, c in fan):
             s = orient3(q0, a, b, c)
             if s and (orient3(x, a, b, c) * s >= 0
                       and orient3(q0, x, b, c) * s >= 0

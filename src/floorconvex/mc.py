@@ -34,6 +34,20 @@ _ANCHOR = (1, 0)
 
 
 @dataclass(frozen=True)
+class RunStats:
+    """Where a run's time went and how it was laid out.  The stage times
+    are summed over chunks, so with several workers they overlap; a stage a
+    run does not have (the predicate of estimate_Q2_height) reads 0."""
+    sample_ms: float
+    predicate_ms: float
+    exact_ms: float
+    n_ambiguous: int
+    n_chunks: int
+    chunk_size: int
+    workers: int
+
+
+@dataclass(frozen=True)
 class EstimateResult:
     """Outcome of one Monte Carlo run."""
     estimate: float
@@ -45,6 +59,7 @@ class EstimateResult:
     n_success: int | None = None
     low_power: bool = False
     wall_ms: float = 0.0
+    stats: RunStats | None = None
 
     def within_sigma(self, target: float, z: float) -> bool:
         se = self.std_error if self.std_error > 0 else 1e-300
@@ -64,14 +79,16 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def _binomial_result(k: int, n: int, seed: int, t0: float) -> EstimateResult:
+def _binomial_result(k: int, n: int, seed: int, t0: float,
+                     stats: RunStats) -> EstimateResult:
     phat = k / n
     se = math.sqrt(max(phat * (1 - phat), 0.0) / n)
     lo, hi = wilson_interval(k, n)
     return EstimateResult(estimate=phat, std_error=se, ci_low=lo, ci_high=hi,
                           n_samples=n, seed=seed, n_success=k,
                           low_power=k < LOW_POWER_SUCCESSES,
-                          wall_ms=(time.perf_counter() - t0) * 1000)
+                          wall_ms=(time.perf_counter() - t0) * 1000,
+                          stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +162,54 @@ def convex_position_verdicts_2d(pts: np.ndarray,
 
 
 def _centroid_verdicts(pts):
-    """Floorless verdicts: the turns of each row in angular order around its
-    centroid c (rounded, the order that of arctan2; only the turns are
-    certified against the margin).
+    """Floorless verdicts: the closed walk of each row in angular order
+    around its centroid c, rounded, so a stored point.  The order comes
+    from arctan2, but only what is certified below is relied on.
 
-    In exact arithmetic n >= 3 points are in strictly convex position iff
-    none is at c, no two lie on one ray from c, and the closed walk in
-    angular order around c turns strictly left at every point.  Collinear
-    points fail one of the first two tests, c being on their line.  Else c,
-    a combination of the points with positive weights, is strictly inside
-    their hull, so consecutive points in strict angular order are less
-    than pi apart around c; the walk bounds the union of the ccw triangles
-    (c, p_i, p_i+1), whose sectors at c are disjoint, so it is a simple
-    polygon, strictly convex iff it turns strictly left at every vertex.
-    Conversely, the boundary of a strictly convex polygon meets each ray
-    from the interior point c once, so it visits the points in strict
-    angular order.  geometry.in_convex_position_2d decides exactly this.
+    Order certificate.  Every angular step (p_j - c) x (p_j+1 - c), the last
+    point to the first included, must be certified positive, and exactly one
+    step must go from a point with (p - c)_y >= 0 to one with (p - c)_y < 0;
+    else the row is -1.  Then each step turns about c by an angle in (0,
+    pi), so the walk goes round c some w >= 1 times, and it passes the ray
+    from c in direction (-1, 0) exactly on the steps counted, once each: a
+    step that turns by less than pi from the closed upper half-plane into
+    the open lower one passes that ray, and no other step does.  The signs
+    of (p - c)_y are exact, so w = 1: the walk visits the points in strict
+    angular order around c, and c is strictly inside the polygon it bounds,
+    so strictly inside the points' hull.
+
+    Walk.  The walk bounds the union of the ccw triangles (c, p_j, p_j+1),
+    whose sectors at c are disjoint, so it is a simple polygon, strictly
+    convex iff it turns strictly left at every vertex; then every point is
+    a strict vertex.  Conversely, the boundary of a strictly convex polygon
+    meets each ray from the interior point c once, so it visits the points
+    in that strict angular order and turns strictly left at each.  So with
+    the order certified, a row whose smallest turn is beyond the margin has
+    the exact verdict.  geometry.in_convex_position_2d decides the same
+    with the exact centroid: in exact arithmetic n >= 3 points are in
+    strictly convex position iff none is at c, no two lie on one ray from
+    c, and the walk in angular order turns strictly left at every point.
+
+    The sorted coordinates are held one contiguous array per point, as in
+    _walk_verdicts; each step and turn is a cross product of differences of
+    stored coordinates, within the margin of convex_position_verdicts_2d.
     """
-    center = pts.mean(axis=1, keepdims=True)
-    ang = np.arctan2(pts[..., 1] - center[..., 1], pts[..., 0] - center[..., 0])
-    order = np.argsort(ang, axis=1)
-    p = np.take_along_axis(pts, order[..., None], axis=1)
-    q = np.roll(p, -1, axis=1)
-    r = np.roll(p, -2, axis=1)
-    cross = ((q[..., 0] - p[..., 0]) * (r[..., 1] - q[..., 1])
-             - (q[..., 1] - p[..., 1]) * (r[..., 0] - q[..., 0]))
-    return _certify(cross.min(axis=1), _margin(np.abs(pts).max()))
+    rows, n, _ = pts.shape
+    center = pts.mean(axis=1)
+    order = np.argsort(np.arctan2(pts[..., 1] - center[:, 1:],
+                                  pts[..., 0] - center[:, :1]), axis=1)
+    flat = 2 * (order + n * np.arange(rows)[:, None]).T
+    x = pts.reshape(-1).take(flat)      # x[j]: each row's j-th point in order
+    y = pts.reshape(-1).take(flat + 1)
+    dx = [b - a for a, b in zip([x[-1], *x], [*x, x[0]])]
+    dy = [b - a for a, b in zip([y[-1], *y], [*y, y[0]])]
+    margin = _margin(np.abs(pts).max())
+    out = _certify(_min_cross(dx, dy), margin)
+    ux, uy = x - center[:, 0], y - center[:, 1]
+    below = uy < 0
+    wraps = (below[np.r_[1:n, 0]] & ~below).sum(axis=0)
+    out[(_min_cross([*ux, ux[0]], [*uy, uy[0]]) <= margin) | (wraps != 1)] = -1
+    return out
 
 
 def _margin(s: float) -> float:
@@ -254,119 +293,162 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     """Strict convex position of sample points together with floor vertices.
 
     pts: (B, n, 3) sample points, floor_xyz: (k, 3) floor vertices at
-    height 0, with n + k >= 5.  Floor vertices are extreme points of the
-    body, hence always hull vertices, so a trial fails iff some sample point
-    x lies in conv(Q), Q being the other sample points and the floor.
+    height 0, with positive area, convex and in boundary order, clockwise
+    or counter-clockwise (geometry.convex_floor checks this once per call
+    and raises ValueError otherwise; repeats of a vertex next to it are
+    dropped).  Floor vertices are extreme points of the body, hence always
+    hull vertices, so a trial fails iff some sample point x lies in conv(Q),
+    Q being the other sample points and the floor.  A row with a point at
+    height <= 0 is ambiguous (-1); the exact predicate rejects such a
+    point, so the trial fails.
 
-    Fan.  Let q0 be the first floor vertex.  conv(Q) is the union of the
-    simplices conv({q0} + T) over the 3-subsets T of Q - {q0}.  For x in
-    conv(Q), follow the ray from q0 through x to its last point y in conv(Q).
-    The smallest face of conv(Q) holding y has y in its relative interior,
-    so it cannot hold q0 (the ray would go on past y inside it); it has
-    dimension at most 2, so by Caratheodory y lies in the hull of at most
-    three of its vertices.  Any 3-subset T of Q - {q0} holding them (n + k
-    >= 5 leaves at least three points there) has x, on the segment from q0
-    to y, in conv({q0} + T).  Each point therefore meets C(m - 1, 3)
-    simplices, m = |Q|, rather than all C(m, 4) 4-subsets of Q.
+    Fan.  Let q0 be the first floor vertex and f_1, ..., f_k-1 the others,
+    in boundary order.  For x in conv(Q), follow the ray from q0 through x
+    to its last point y in conv(Q).  Q has points above the floor, whose
+    area is positive, so conv(Q) spans 3-space and y is on its boundary.
+    The smallest face holding y has y in its relative interior, so it cannot
+    hold q0 (the ray would go on past y inside it); it is the intersection
+    of the facets that hold y, so one of them, G, misses q0.  G has a
+    sample point p as a vertex: otherwise it would lie in the floor plane,
+    so it would be the floor, which holds q0.  Fan G from p over the points
+    of Q on its boundary, w_1, ..., w_r in order round it: the non-flat
+    triangles (p, w_j, w_j+1) cover G, so y lies in one, T.  q0 is off G's
+    plane, else it would be in G, so conv({q0} + T) is a non-flat simplex
+    that holds y and q0, hence x.  If T has two floor points, the segment
+    between them is on the boundary of G and in the floor plane, so on the
+    floor's boundary, and no floor vertex lies between them: they are
+    consecutive along the floor's boundary, an edge that misses q0 as G
+    does.  So x is in a non-flat simplex (q0, f_a, f_a+1, p), (q0, f, p, p')
+    or (q0, p, p', p'') of geometry.floor_fan, with p, p', p'' sample points
+    other than x and f a floor vertex other than q0; the exact check
+    geometry.in_convex_position_with_floor_3d, which skips flat simplices,
+    needs that.  Each point meets (k - 2) m + (k - 1) C(m, 2) + C(m, 3)
+    simplices, m = n - 1: 16 for the square floor and n = 4.
 
-    Some non-flat fan simplex holds x, which the exact check
-    geometry.in_convex_position_with_floor_3d needs, as it skips flat ones.
-    x lies in conv(Q) above the floor plane, so Q has a point above it, and
-    with the floor of positive area conv(Q) spans 3-space.  y is on its
-    boundary, so the smallest face holding y is the intersection of the
-    facets that hold it, and one of them misses q0.  By Caratheodory in
-    that facet's plane, y lies in a triangle T of three affinely independent
-    vertices of the facet; q0 is off that plane, else it would be in the
-    facet, so conv({q0} + T) is non-flat and holds x.
-
-    Per simplex (q0, a, b, c), d0 = det[a - q0, b - q0, c - q0], and e_k is
-    d0 with x in place of its k-th vertex; when d0 != 0, e_k / d0 are the
-    barycentric coordinates of x and sum to 1.  The three e_k that keep q0
-    are det[x - q0, b - q0, c - q0] for a pair (b, c) of the simplex, so
-    each is computed once per pair and shared by the simplices holding it.
+    Per simplex (q0, a, b, c), with every point taken relative to q0 (once
+    per slice, rounded), d0 = det[a, b, c], and e_k is d0 with x in place of
+    its k-th vertex.  e1 = det[x, b, c], e2 = -det[x, a, c] and e3 =
+    det[x, a, b] come from the pairs of the simplex, so each is computed
+    once per pair and shared by the simplices holding it.  When d0 != 0 the
+    e_k / d0 are the barycentric coordinates of x and sum to 1, so e0 (x in
+    place of q0) is d0 - e1 - e2 - e3.  The floor's heights are exactly 0,
+    so the products with them are skipped.
 
     Margin.  Let S be the largest coordinate magnitude and u = eps/2 the
-    unit roundoff.  Every d0 and e_k is a triple product of coordinate
-    differences, each at most 2S and rounded once; each of its six terms
+    unit roundoff.  d0, e1, e2 and e3 are triple products of coordinate
+    differences, each at most 2S and rounded once; each of the six terms
     meets at most eight roundings (three entries, two products, the
-    subtraction in the 2x2 minor, two additions), so it is within
-    8u/(1 - 8u) * 6 * (2S)^3 < 192.01 eps S^3 =: E of the exact value.  The
-    margin 512 eps scale^3, scale = S + 1, exceeds 2E.  With |d0| > margin
-    the sign s of d0 is exact; all s * e_k > margin certifies x inside the
-    simplex (a failure), and some s * e_k < -margin certifies x outside it.
+    subtraction in a 2x2 minor, two additions), so each is within
+    8u/(1 - 8u) * 6 * (2S)^3 < 192.01 eps S^3 =: E of the exact value.
+    Each is at most 48 S^3 (up to E), so the three subtractions that form
+    e0 round partial sums of at most 96, 144 and 192 S^3 and add at most
+    u * 432 S^3 = 216 eps S^3: e0 is within 4E + 216 eps S^3 < 985 eps S^3.
+    The margin 2048 eps scale^3, scale = S + 1, exceeds that error plus E.
 
-    Flat simplices.  When |d0| <= margin the simplex may be flat (the
-    all-floor ones are, with d0 = 0 exactly): its e_k no longer give
-    barycentric coordinates, so it never certifies "inside", and x near it
-    stays ambiguous for the exact predicate.  It certifies "outside" only
-    when some |e_k| > |d0| + margin: in exact arithmetic a point of the
-    closed simplex has |e_k| <= |d0| (its weights lie in [0, 1]; a flat
-    simplex has every e_k = 0 on its plane), and rounding moves the two
-    sides by at most 2E.  So a point of conv(Q), such as one at height 0
-    on the floor, is never certified outside the fan simplex that holds it,
-    and its trial is never a success.
+    Solid simplices.  With |d0| > margin the sign s of d0 is exact; all
+    s * e_k > margin certifies x inside the simplex (a failure), and some
+    s * e_k < -margin certifies x outside it.  The computed e0 + e1 + e2 +
+    e3 is d0 up to the 216 eps S^3 of the subtractions, so all s * e_k >
+    margin forces |d0| > 3 margin: that test needs no check of d0.
 
-    A row succeeds when every point is certified outside every simplex of
-    its fan, fails when some point is certified inside one, and is left
-    ambiguous (-1) otherwise.  Each row's points are tested lowest first:
-    the lowest point is the one most often inside the hull, so most failing
-    rows leave after one point.  Rows go through in slices of _SLICE, since
-    the per-trial cost of the array passes grows with their size; scale and
-    margin come from the whole batch, so no verdict depends on the slicing.
+    Flat simplices.  When |d0| <= margin the simplex may be flat: its e_k no
+    longer give barycentric coordinates, so it never certifies "inside",
+    and x near it stays ambiguous for the exact predicate.  It certifies
+    "outside" only when some |e_k| > |d0| + margin: in exact arithmetic a
+    point of the closed simplex has |e_k| <= |d0| (its weights lie in [0,
+    1]; a flat simplex has every e_k = 0 on its plane), and rounding moves
+    the two sides by less than 985 + 193 < 2048 eps S^3.  So a point of
+    conv(Q) is never certified outside the fan simplex that holds it, and
+    its trial is never a success.
+
+    Each simplex's verdict on x is folded into one number, the smallest s *
+    e_k, or for a flat simplex -inf when it certifies "outside" and 0 when
+    it does not; the largest of these over the fan is > margin iff some
+    simplex certifies x inside, and < -margin iff every simplex certifies
+    it outside.  A row succeeds when every point is certified outside every
+    simplex of its fan, fails when some point is certified inside one, and
+    is left ambiguous (-1) otherwise.  Each row's points are tested lowest
+    first: the lowest point is the one most often inside the hull, so most
+    failing rows leave after one point.  Rows go through in slices of
+    _SLICE, since the per-trial cost of the array passes grows with their
+    size; scale and margin come from the whole batch, so no verdict depends
+    on the slicing.
     """
-    scale = max(np.abs(pts).max(), np.abs(floor_xyz).max()) + 1.0
-    margin = 512.0 * _EPS * scale ** 3
+    floor = geometry.convex_floor([tuple(map(float, f)) for f in floor_xyz])
+    scale = max(pts.max(), -pts.min(), np.abs(floor_xyz).max()) + 1.0
+    margin = 2048.0 * _EPS * scale ** 3
+    fan = geometry.floor_fan(len(floor), pts.shape[1] - 1)
     verdict = np.empty(pts.shape[0], dtype=np.int8)
     for s in range(0, pts.shape[0], _SLICE):
-        verdict[s:s + _SLICE] = _verdicts_3d_slice(pts[s:s + _SLICE],
-                                                   floor_xyz, margin)
+        verdict[s:s + _SLICE] = _verdicts_3d_slice(pts[s:s + _SLICE], floor,
+                                                   fan, margin)
     return verdict
 
 
-def _verdicts_3d_slice(pts, floor_xyz, margin):
+def _verdicts_3d_slice(pts, floor, fan, margin):
     rows, n, _ = pts.shape
+    (qx, qy, _), *rest = floor
+    # fan index j < kf: floor vertex f[j]; j >= kf: sample point p[j - kf];
+    # all relative to q0, the floor's heights exactly 0
+    f = [(fx - qx, fy - qy) for fx, fy, _ in rest]
+    kf = len(f)
     order = np.argsort(pts[..., 2], axis=1, kind="stable")
-    # xyz[j][k]: coordinate k of each row's j-th lowest point, contiguous
-    xyz = np.take_along_axis(pts, order[..., None], axis=1)
-    xyz = xyz.transpose(1, 2, 0).copy()
-    q0, *floor = [tuple(map(float, f)) for f in floor_xyz]
+    idx = 3 * (order + n * np.arange(rows)[:, None]).T
+    # rel[k][j]: coordinate k of each row's j-th lowest point, contiguous
+    rel = [pts.reshape(-1).take(idx + k) - q for k, q in ((0, qx), (1, qy))]
+    rel.append(pts.reshape(-1).take(idx + 2))
+    # det[f_a, f_b, (0, 0, 1)] for the floor pairs of the fan
+    fz = {(a, b): f[a][0] * f[b][1] - f[a][1] * f[b][0]
+          for a, b, _ in fan if b < kf}
+    pairs = {bc for a, b, c in fan for bc in ((a, b), (a, c), (b, c))}
     verdict = np.ones(rows, dtype=np.int8)
     alive = np.arange(rows)
     for i in range(n):
-        cur = xyz[:, :, alive]
-        x = cur[i]
-        fan = floor + [cur[j] for j in range(n) if j != i]  # Q - {q0}
-        rel = [tuple(f[k] - q0[k] for k in range(3)) for f in fan]
-        dif = [tuple(f[k] - x[k] for k in range(3)) for f in fan]
-        xq = tuple(x[k] - q0[k] for k in range(3))
-        # for each pair (b, c) of the fan: (b - q0) x (c - q0), (b - x) x
-        # (c - x) and det[x - q0, b - q0, c - q0], shared by its simplices
-        pairs = list(itertools.combinations(range(len(fan)), 2))
-        rel_x = {bc: _cross(rel[bc[0]], rel[bc[1]]) for bc in pairs}
-        dif_x = {bc: _cross(dif[bc[0]], dif[bc[1]]) for bc in pairs}
-        x_det = {bc: _dot(xq, rel_x[bc]) for bc in pairs}
-        inside = np.zeros(alive.size, dtype=bool)
-        outside = np.ones(alive.size, dtype=bool)
-        for a, b, c in itertools.combinations(range(len(fan)), 3):
-            d0 = _dot(rel[a], rel_x[b, c])
-            # x in place of q0, a, b and c in turn
-            e = (_dot(dif[a], dif_x[b, c]), x_det[b, c], -x_det[a, c],
-                 x_det[a, b])
+        cur = rel if alive.size == rows else [r[:, alive] for r in rel]
+        x = [r[i] for r in cur]
+        p = [tuple(r[j] for r in cur) for j in range(n) if j != i]
+        # the first two coordinates of p x x, and p x p' for the pairs
+        px = [(v[1] * x[2] - v[2] * x[1], v[2] * x[0] - v[0] * x[2])
+              for v in p]
+        pp = {(b, c): _cross(p[b - kf], p[c - kf])
+              for b, c in pairs if b >= kf}
+
+        def x_det(b, c):        # det[x, b, c]
+            if c < kf:
+                return x[2] * fz[b, c]
+            if b < kf:
+                u = px[c - kf]
+                return f[b][0] * u[0] + f[b][1] * u[1]
+            return _dot(x, pp[b, c])
+
+        xd = {bc: x_det(*bc) for bc in pairs}
+        top = np.full(alive.size, -np.inf)
+        for a, b, c in fan:
+            if b < kf:
+                d0 = p[c - kf][2] * fz[a, b]
+            elif a < kf:
+                u = pp[b, c]
+                d0 = f[a][0] * u[0] + f[a][1] * u[1]
+            else:
+                d0 = _dot(p[a - kf], pp[b, c])
+            e1, e2n, e3 = xd[b, c], xd[a, c], xd[a, b]     # e2 = -e2n
+            e0 = d0 - e1 + e2n - e3
             s = np.sign(d0)
-            lo = np.minimum(np.minimum(s * e[0], s * e[1]),
-                            np.minimum(s * e[2], s * e[3]))
-            solid = np.abs(d0) > margin
-            inside |= solid & (lo > margin)
-            out = solid & (lo < -margin)
-            if not np.all(solid):
-                hi = np.maximum(np.maximum(np.abs(e[0]), np.abs(e[1])),
-                                np.maximum(np.abs(e[2]), np.abs(e[3])))
-                out |= ~solid & (hi > np.abs(d0) + margin)
-            outside &= out
-        verdict[alive] = np.where(inside, 0, np.where(outside, 1, -1))
-        alive = alive[outside]
+            lo = np.minimum(np.minimum(s * e0, s * e1),
+                            np.minimum(s * e3, -(s * e2n)))
+            if np.abs(d0).min() <= margin:
+                flat = np.abs(d0) <= margin
+                hi = np.maximum(np.maximum(np.abs(e0), np.abs(e1)),
+                                np.maximum(np.abs(e2n), np.abs(e3)))
+                lo[flat] = np.where(hi > np.abs(d0) + margin,
+                                    -np.inf, 0.0)[flat]
+            np.maximum(top, lo, out=top)
+        verdict[alive] = np.where(top > margin, 0,
+                                  np.where(top < -margin, 1, -1))
+        alive = alive[top < -margin]
         if alive.size == 0:
             break
+    verdict[(rel[2] <= 0).any(axis=0)] = -1
     return verdict
 
 
@@ -426,8 +508,15 @@ def _map_chunks(chunk_fn, n_samples: int, seed: int, workers: int,
 
 def _run_binomial(chunk_fn, n_samples: int, seed: int, workers: int,
                   chunk_size: int, t0: float) -> EstimateResult:
-    k = sum(_map_chunks(chunk_fn, n_samples, seed, workers, chunk_size))
-    return _binomial_result(k, n_samples, seed, t0)
+    """chunk_fn returns (successes, sample_s, predicate_s, exact_s,
+    ambiguous) per chunk."""
+    parts = _map_chunks(chunk_fn, n_samples, seed, workers, chunk_size)
+    k, sample_s, predicate_s, exact_s, ambiguous = map(sum, zip(*parts))
+    stats = RunStats(sample_ms=1e3 * sample_s, predicate_ms=1e3 * predicate_s,
+                     exact_ms=1e3 * exact_s, n_ambiguous=ambiguous,
+                     n_chunks=len(parts), chunk_size=chunk_size,
+                     workers=workers)
+    return _binomial_result(k, n_samples, seed, t0, stats)
 
 
 def _estimate_convex(sample, n: int, always: int, verdicts, exact,
@@ -439,11 +528,20 @@ def _estimate_convex(sample, n: int, always: int, verdicts, exact,
     _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
     if n <= always:
-        return _binomial_result(n_samples, n_samples, seed, t0)
+        return _binomial_result(n_samples, n_samples, seed, t0,
+                                RunStats(0.0, 0.0, 0.0, 0, 0, chunk_size,
+                                         workers))
 
     def chunk(rng, size):
+        t = [time.perf_counter()]
         pts = sample(rng, size * n).reshape(size, n, -1)
-        return _resolve(pts, verdicts(pts, *floor), exact, *floor)
+        t.append(time.perf_counter())
+        v = verdicts(pts, *floor)
+        t.append(time.perf_counter())
+        k = _resolve(pts, v, exact, *floor)
+        t.append(time.perf_counter())
+        return (k, t[1] - t[0], t[2] - t[1], t[3] - t[2],
+                int(np.count_nonzero(v == -1)))
 
     return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
 
@@ -489,19 +587,23 @@ def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
     coef = 2.0 * floor_volume(body) / body.dimension
 
     def chunk(rng, size):
+        t = time.perf_counter()
         h = sample_heights(body, rng, size)
-        return float(h.sum()), float((h * h).sum())
+        return float(h.sum()), float((h * h).sum()), time.perf_counter() - t
 
     parts = _map_chunks(chunk, n_samples, seed, workers, chunk_size)
-    s1, s2 = map(sum, zip(*parts))
+    s1, s2, sample_s = map(sum, zip(*parts))
     mean = s1 / n_samples
     var = max(s2 / n_samples - mean * mean, 0.0)
     est = 1.0 - coef * mean
     se = coef * math.sqrt(var / n_samples)
     z = 1.959963984540054
+    stats = RunStats(1e3 * sample_s, 0.0, 0.0, 0, len(parts), chunk_size,
+                     workers)
     return EstimateResult(estimate=est, std_error=se, ci_low=est - z * se,
                           ci_high=est + z * se, n_samples=n_samples, seed=seed,
-                          wall_ms=(time.perf_counter() - t0) * 1000)
+                          wall_ms=(time.perf_counter() - t0) * 1000,
+                          stats=stats)
 
 
 def estimate_beta1(n: int, n_samples: int, seed: int = 0, workers: int = 1,

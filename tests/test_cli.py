@@ -106,6 +106,17 @@ def test_estimate_json(capsys):
     assert abs(row["estimate"] - 1 / 18) < 0.01
 
 
+def test_estimate_json_reports_stats(capsys):
+    code, out, _ = run(capsys, "estimate", "--body", "prism3d", "--n", "4",
+                       "--samples", "3000", "--seed", "1", "--workers", "2")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert {"sample_ms", "predicate_ms", "exact_ms", "n_ambiguous",
+            "n_chunks", "chunk_size", "workers"} == set(stats)
+    assert stats["n_chunks"] == 1 and stats["workers"] == 2
+    assert stats["predicate_ms"] > 0
+
+
 def test_estimate_unset_seed_is_reported(capsys):
     code, out, _ = run(capsys, "estimate", "--body", "triangle", "--n", "2",
                        "--samples", "1000")

@@ -112,6 +112,27 @@ def test_floor_3d_rejects_a_floor_of_zero_area():
             geo.in_convex_position_with_floor_3d(up, floor)
 
 
+def test_floor_fan_sizes():
+    # (k - 2) m + (k - 1) C(m, 2) + C(m, 3) simplices for k floor vertices
+    # and m other sample points
+    for k, m, size in ((4, 3, 16), (4, 2, 7), (3, 2, 4), (3, 3, 10),
+                       (5, 0, 0), (3, 1, 1)):
+        fan = geo.floor_fan(k, m)
+        assert len(fan) == len(set(fan)) == size
+        assert all(a < b < c < k - 1 + m for a, b, c in fan)
+
+
+def test_convex_floor_accepts_either_orientation_and_repeats():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    xyz = [(x, y, 0) for x, y in square]
+    assert geo.convex_floor(square) == xyz
+    assert geo.convex_floor(square[::-1]) == xyz[::-1]
+    repeats = square[:2] + [(1, 0, 0)] + square[2:] + [(0, 0)]
+    assert geo.convex_floor(repeats) == xyz
+    with pytest.raises(ValueError, match="height 0"):
+        geo.convex_floor([(0, 0, 0), (1, 0, 0), (0, 1, F(1, 2))])
+
+
 def _random_dyadic_points(rng, n, dim, height_positive):
     pts = []
     for _ in range(n):

@@ -103,13 +103,17 @@ def test_floor_walk_never_certifies_two_points_on_one_ray():
     assert mc._resolve(grid, v, geo.in_convex_position_with_floor_2d, fl) == 0
 
 
+PENTAGON = [(0.5, 0.0), (1.0, 0.375), (0.75, 1.0), (0.25, 1.0), (0.0, 0.375)]
+_MOUNTAINS = {"mountain3d_offset_apex": lambda: mountain3d(apex_xy=(0.8, -0.3)),
+              "mountain3d_pentagon": lambda: mountain3d(PENTAGON)}
+
+
 @pytest.mark.parametrize("name, n", [
     ("tetrahedron", 3), ("tetrahedron", 4), ("tetrahedron", 5),
     ("mountain3d", 3), ("prism3d", 4), ("frustum3d:0.5", 4),
-    ("mountain3d_offset_apex", 3)])
+    ("mountain3d_offset_apex", 3), ("mountain3d_pentagon", 4)])
 def test_batch_3d_predicate_matches_exact(name, n):
-    body = (mountain3d(apex_xy=(0.8, -0.3)) if name == "mountain3d_offset_apex"
-            else builtin_body(name))
+    body = _MOUNTAINS[name]() if name in _MOUNTAINS else builtin_body(name)
     pts = sample_body(body, RngStream(2).generator(), 200 * n).reshape(200, n, 3)
     fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
     v = mc.convex_position_verdicts_3d(pts, fxyz)
@@ -134,6 +138,32 @@ def test_batch_3d_predicate_never_passes_a_point_on_the_floor():
         assert not (v == 1).any()
         assert mc._resolve(pts, v, geo.in_convex_position_with_floor_3d,
                            fxyz) == 0
+
+
+def test_3d_verdicts_do_not_depend_on_the_floor_orientation():
+    # the floor reversed turns the other way round and starts the fan at
+    # another vertex; sampled floats leave no trial ambiguous either way
+    for body, n in ((builtin_body("prism3d"), 4), (mountain3d(PENTAGON), 3)):
+        pts = sample_body(body, RngStream(12).generator(),
+                          5000 * n).reshape(5000, n, 3)
+        fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
+        ccw = mc.convex_position_verdicts_3d(pts, fxyz)
+        assert (ccw != -1).all() and 0 < ccw.sum() < len(ccw)
+        assert np.array_equal(mc.convex_position_verdicts_3d(pts, fxyz[::-1]),
+                              ccw)
+
+
+@pytest.mark.parametrize("floor", [
+    [(0, 0), (1, 1), (1, 0), (0, 1)],               # out of boundary order
+    [(0, 0), (2, 0), (1, 0.5), (2, 2), (0, 2)],     # a reflex vertex
+    [(0, 0), (1, 0), (0, 1), (0, 0), (1, 0), (0, 1)]])  # round twice
+def test_3d_predicates_reject_a_floor_out_of_order(floor):
+    pts = np.array([[[0.5, 0.5, 1.0], [0.25, 0.5, 0.5]]])
+    fxyz = np.array([[x, y, 0.0] for (x, y) in floor])
+    with pytest.raises(ValueError, match="boundary order"):
+        mc.convex_position_verdicts_3d(pts, fxyz)
+    with pytest.raises(ValueError, match="boundary order"):
+        geo.in_convex_position_with_floor_3d([tuple(p) for p in pts[0]], floor)
 
 
 def test_chain_verdicts_match_exact():
@@ -206,6 +236,60 @@ def test_margins_leave_rounding_decided_rows_ambiguous():
         v = verdicts(pts)
         assert (v == -1).mean() > 0.9
         assert np.array_equal(v[v != -1], want[v != -1])
+
+
+def test_3d_margin_leaves_rounding_decided_rows_ambiguous():
+    # x = a rounded convex combination of a floor edge's ends and the high
+    # point p lies on the face (f_j, f_j+1, p) of the hull up to rounding,
+    # which decides whether it is a vertex; over edges that hold q0 and
+    # edges that do not, at sizes 1 and 1000, every such row must go to
+    # the exact path.  With margin 0 some rows get a wrong certified verdict.
+    rng = np.random.default_rng(3)
+    rows = 1500
+    for size in (1.0, 1000.0):
+        floor = size * np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        j = rng.integers(0, 4, rows)
+        p = size * rng.uniform([0.2, 0.2, 0.5], [0.8, 0.8, 1.0], (rows, 3))
+        w = rng.dirichlet([1, 1, 1], rows)
+        x = (w[:, :1] * floor[j] + w[:, 1:2] * floor[(j + 1) % 4]
+             + w[:, 2:] * p)
+        pts = np.stack([p, x], axis=1)
+        want = np.array([geo.in_convex_position_with_floor_3d(
+            [tuple(q) for q in row], floor) for row in pts])
+        assert 0.2 < want.mean() < 0.8          # both verdicts occur
+        v = mc.convex_position_verdicts_3d(pts, floor)
+        assert (v == -1).mean() > 0.9
+        assert np.array_equal(v[v != -1], want[v != -1])
+
+
+def test_centroid_walk_leaves_near_ties_ambiguous():
+    # rows of four points around c = (1/2, 1/2), two of them 1e-17 to 1e-14
+    # rad apart as seen from c, at equal or at different distances; the
+    # order certificate leaves every such row ambiguous, and every other
+    # row's certified verdict is the exact one
+    rng = np.random.default_rng(5)
+    rows = 2000
+    c = np.array([0.5, 0.5])
+
+    def at(angle, radius):
+        return c + radius[:, None] * np.column_stack([np.cos(angle),
+                                                      np.sin(angle)])
+
+    t = rng.uniform(0, 2 * np.pi, rows)
+    gap = np.where(np.arange(rows) < rows // 2,
+                   10.0 ** rng.uniform(-17, -14, rows),
+                   rng.uniform(0.05, 1.5, rows))
+    r = rng.uniform(0.1, 0.5, rows)
+    a = at(t, r)
+    b = at(t + gap, r * rng.choice([1.0, 0.5], rows))
+    d = at(t + rng.uniform(2.0, 3.5, rows), rng.uniform(0.1, 0.5, rows))
+    pts = np.stack([a, b, d, 4 * c - a - b - d], axis=1)
+    v = mc.convex_position_verdicts_2d(pts)
+    want = np.array([geo.in_convex_position_2d([tuple(p) for p in row])
+                     for row in pts])
+    assert (v[:rows // 2] == -1).all()
+    assert (v[rows // 2:] != -1).mean() > 0.9 and 0 < want.sum()
+    assert np.array_equal(v[v != -1], want[v != -1])
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +533,26 @@ def test_wilson_interval_properties():
     lo, hi = mc.wilson_interval(50, 100)
     assert lo < 0.5 < hi
     assert mc.wilson_interval(0, 0) == (0.0, 1.0)
+
+
+def test_result_stats():
+    r = mc.estimate_Q(builtin_body("prism3d"), 4, 30_000, seed=3,
+                      workers=2, chunk_size=10_000)
+    st = r.stats
+    assert (st.n_chunks, st.chunk_size, st.workers) == (3, 10_000, 2)
+    assert st.sample_ms > 0 and st.predicate_ms > 0 and st.exact_ms >= 0
+    assert st.n_ambiguous == 0
+    # trials on the 1/8 grid leave some to the exact check
+    square = builtin_body("square")
+    grid = mc._estimate_convex(
+        lambda rng, k: np.round(sample_body(square, rng, k) * 8) / 8
+        + [0, 1 / 16], 4, 1, mc.convex_position_verdicts_2d,
+        geo.in_convex_position_with_floor_2d, 2000, 0, 1, 1000,
+        np.asarray(square.floor, dtype=float))
+    assert grid.stats.n_ambiguous > 0 and grid.stats.n_chunks == 2
+    h = mc.estimate_Q2_height(builtin_body("square"), 1000, seed=1)
+    assert h.stats.n_chunks == 1 and h.stats.predicate_ms == 0
+    assert mc.estimate_Q(builtin_body("square"), 1, 10).stats.n_chunks == 0
 
 
 def test_result_fields_and_low_power_flag():
