@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import convex_floor
 from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
                            constant_top, mountain_top, triangle_top)
 
@@ -33,7 +34,9 @@ from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
 def normalize_floor_polygon(vertices):
     """Return (polygon, scale): ccw convex polygon with area 1 and centroid 0.
 
-    vertices: iterable of (x, y).  Raises on degenerate input.
+    vertices: iterable of (x, y), in any order.  Raises ValueError on
+    degenerate input and unless the vertices, sorted by angle around their
+    mean, form a convex polygon.
     """
     pts = [(float(x), float(y)) for (x, y) in vertices]
     if len(pts) < 3:
@@ -45,6 +48,7 @@ def normalize_floor_polygon(vertices):
                 - pts[(i + 1) % len(pts)][0] * pts[i][1] for i in range(len(pts)))
     if area2 <= 0:
         raise ValueError("floor polygon is degenerate")
+    convex_floor(pts)
     area = area2 / 2
     gx = gy = 0.0
     for i in range(len(pts)):

@@ -155,8 +155,10 @@ def _parse_top(spec: str):
 
 
 def cmd_quadrature(args):
-    r = q_decomp(_parse_top(args.top), args.n, tol=args.tol,
-                 budget=args.budget)
+    r = q_decomp(_parse_top(args.top), args.n, budget=args.budget)
+    if r.exhausted:
+        raise ValueError(f"quadrature needs more than --budget {args.budget} "
+                         f"integrand evaluations")
     return {"top": args.top, "n": args.n, "rows": [asdict(r)]}, None
 
 
@@ -233,11 +235,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("quadrature", help="decomposition recursion")
     sp.add_argument("--top", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="error target; unused at n <= 3, exact to rounding")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="integrand evaluations after which no panel "
-                         "bisects and the result is flagged exhausted")
+                    help="most integrand evaluations; a run that needs more "
+                         "stops and exits 1")
     common(sp)
     sp.set_defaults(func=cmd_quadrature)
 

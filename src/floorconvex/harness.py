@@ -118,25 +118,23 @@ def suite_prism_bounds(trials: int = 100, seed: int = 0,
     return _finish(rep, t0)
 
 
-def suite_ccsf(trials: int = 10, seed: int = 0, samples: int = 200_000) -> Report:
+def suite_ccsf(trials: int = 10, seed: int = 0, samples: int = 0) -> Report:
     """Frustum family drives Q(2) to 1 as h -> 0; mountain bound holds."""
     t0 = time.perf_counter()
-    rep = Report("ccsf", seed, {"trials": trials, "samples": samples})
-    r = mc.estimate_Q2_height(frustum(0.1, 3), samples, seed=seed)
-    rep.check_le("frustum h=0.1 d=3: Q(2) >= 0.93", 0.93, r.estimate,
-                 slack=SIGMA * r.std_error)
-    r = mc.estimate_Q2_height(frustum(1.0, 3), samples, seed=seed + 1)
+    rep = Report("ccsf", seed, {"trials": trials})
+    rep.check_le("frustum h=0.1 d=3: Q(2) >= 0.93", 0.93,
+                 q2_exact(frustum(0.1, 3)), slack=1e-12)
     rep.check_eq("frustum h=1 d=3 is the prism: Q(2) = 2/3",
-                 r.estimate, float(q2_prism(3)), tol=SIGMA * r.std_error)
+                 q2_exact(frustum(1.0, 3)), float(q2_prism(3)), tol=1e-12)
     rng = RngStream(seed, 1).generator()
     for i in range(trials):
         h = float(rng.uniform(0.05, 1.95))
-        r = mc.estimate_Q2_height(frustum(h, 3), samples, seed=seed + 2 + i)
+        q2 = q2_exact(frustum(h, 3))
         rep.check_le(f"frustum h={h:.3f} d=3: Q(2) >= mountain bound 1/2",
-                     0.5, r.estimate, slack=SIGMA * r.std_error)
+                     0.5, q2, slack=1e-12)
         rep.check_le(f"frustum h={h:.3f} d=3: Q(2) >= 1 - 2h/3 - 4sigma",
-                     1.0 - 2.0 * h / 3.0, r.estimate, slack=SIGMA * r.std_error)
-        rep.check_le(f"frustum h={h:.3f} d=3: Q(2) < 1", r.estimate, 1.0)
+                     1.0 - 2.0 * h / 3.0, q2, slack=1e-12)
+        rep.check_le(f"frustum h={h:.3f} d=3: Q(2) < 1", q2, 1.0)
     return _finish(rep, t0)
 
 

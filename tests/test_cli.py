@@ -159,9 +159,17 @@ def test_quadrature(capsys):
     assert code == 0
     d = json.loads(out)
     row = d["rows"][0]
-    assert {"value", "error", "evaluations", "exhausted", "max_depth",
+    assert {"value", "error", "evaluations", "exhausted",
             "wall_ms"} == set(row)
     assert row["value"] == pytest.approx(5 / 36)
+
+
+def test_quadrature_past_its_budget_exits_1(capsys):
+    code, out, err = run(capsys, "quadrature", "--top", "mountain2d",
+                         "--n", "4", "--budget", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--budget 10" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_quadrature_pwl_file(capsys, tmp_path):
@@ -294,6 +302,15 @@ def test_frustum_q2_between_the_cone_and_the_prism(capsys):
         assert q2[1.0] == pytest.approx(hi, abs=1e-12)
         assert all(lo < q2[h] < hi for h in (1.1, 1.5, 1.9))
         assert hi < q2[0.5] < q2[0.1] < 1
+
+
+def test_body_refuses_a_reflex_floor(capsys, tmp_path):
+    path = tmp_path / "reflex.json"
+    path.write_text(json.dumps({"kind": "prism", "floor": [
+        [0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.6]]}))
+    code, _, err = run(capsys, "body", "--body", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "convex" in err
 
 
 def test_body_levels_below_one_exit_1(capsys):

@@ -1,5 +1,6 @@
 """Chord decomposition and the recursive quadrature evaluator."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -102,17 +103,82 @@ def test_chord_masses_are_affine_on_each_panel():
 
 
 def test_n3_integrand_is_a_cubic_on_each_panel():
-    # the degree argument of the 2-node rule in q_decomp, checked exactly
-    def integrand(G, t):
-        sp = split(G, t)
-        lq = q2_exact_subprism(sp.left) if sp.left else 1
-        rq = q2_exact_subprism(sp.right) if sp.right else 1
-        lm, rm = sp.left_mass, sp.right_mass
-        return G.value(t) * (rm * rm * rq + 2 * lm * rm + lm * lm * lq)
+    # the degree bound of q_decomp, checked exactly: on each panel the
+    # integrand's divided difference of order n + 1 is 0, and that of
+    # order n is nonzero on some panel, so the bound is attained
+    # (n = 5 skips random_concave_top's tops: their float knots make the
+    # exact integrand slow)
     rng = np.random.default_rng(3)
-    for G in [TRAPEZOID] + [random_concave_top(rng, 4) for _ in range(3)]:
-        for ts in _panel_points(G, 5):
-            assert _divided_difference(ts, [integrand(G, t) for t in ts]) == 0
+    floats = [random_concave_top(rng, 4) for _ in range(3)]
+    small = [TRAPEZOID] + [_rational_top(rng, 3) for _ in range(2)]
+    for n in (3, 4, 5):
+        for G in small + (floats if n < 5 else []):
+            top_order = []
+            for ts in _panel_points(G, n + 2):
+                ys = [_exact_integrand(G, n, t) for t in ts]
+                assert _divided_difference(ts, ys) == 0, (n, G)
+                top_order.append(_divided_difference(ts[1:], ys[1:]))
+            assert any(top_order), (n, G)
+
+
+# ---------------------------------------------------------------------------
+# exact oracle: the recursion in Fractions, each panel integrated by the
+# interpolatory rule on n + 1 rational midpoints, exact to degree n
+
+def _rational_top(rng, k):
+    """A random concave top of k segments with knots at multiples of 1/12
+    and integer slopes; small denominators keep the oracle fast."""
+    xs = ([F(0)] + [F(int(x), 12) for x in
+                    np.sort(rng.choice(np.arange(1, 12), k - 1, replace=False))]
+          + [F(1)])
+    ys = [F(0)]
+    for s, x0, x1 in zip(sorted(rng.integers(-6, 7, k).tolist(), reverse=True),
+                         xs, xs[1:]):
+        ys.append(ys[-1] + s * (x1 - x0))
+    low = min(ys[0], ys[-1])
+    return PiecewiseLinearTop(tuple((x, y - low) for x, y in zip(xs, ys)))
+
+
+@functools.cache
+def _midpoint_rule(k):
+    """Nodes (2j + 1)/(2k) on [0, 1] with their interpolatory weights."""
+    s = [F(2 * j + 1, 2 * k) for j in range(k)]
+    rule = []
+    for j in range(k):
+        basis = [F(1)]
+        for i in range(k):
+            if i != j:
+                d = s[j] - s[i]
+                basis = decomposition._poly_mul(basis, [-s[i] / d, 1 / d])
+        rule.append((s[j], decomposition._poly_integral01(basis)))
+    return rule
+
+
+def _exact_integrand(G, n, t):
+    """G(t) sum_m C(n-1, m) |L|^m Q_m(NL) |R|^{n-1-m} Q_{n-1-m}(NR)."""
+    sp = split(G, t)
+    total = F(0)
+    for m in range(n):
+        lm, rm = sp.left_mass ** m, sp.right_mass ** (n - 1 - m)
+        if lm and rm:
+            total += (math.comb(n - 1, m) * lm * rm * _q_oracle(sp.left, m)
+                      * _q_oracle(sp.right, n - 1 - m))
+    return G.value(t) * total
+
+
+@functools.cache
+def _q_oracle(G, n):
+    """Q_n of a piecewise-linear top, exact."""
+    if n <= 1:
+        return F(1)
+    if len(G.knots) == 2:
+        (_, y0), (_, y1) = G.knots
+        return q_exact_linear(y1 - y0, y0, n)
+    if n == 2:
+        return q2_exact_subprism(G)
+    return sum((x1 - x0) * w * _exact_integrand(G, n, x0 + (x1 - x0) * s)
+               for (x0, _), (x1, _) in zip(G.knots, G.knots[1:])
+               for s, w in _midpoint_rule(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +276,6 @@ def test_q_decomp_base_cases():
 TRAPEZOID = PiecewiseLinearTop(((0, 0), (F(1, 3), 1), (F(2, 3), 1), (1, 0)))
 
 
-def _moment_error(weights, k):
-    got = math.fsum(w * x ** k for x, w in zip(decomposition._X15, weights))
-    return abs(got - (2 / (k + 1) if k % 2 == 0 else 0.0))
-
-
-def test_gauss_kronrod_moments():
-    # K15 integrates x^k exactly on [-1, 1] for k <= 22, G7 for k <= 13,
-    # and neither one degree further
-    for k in range(23):
-        assert _moment_error(decomposition._WK15, k) < 2e-16, k
-    for k in range(14):
-        assert _moment_error(decomposition._WG15, k) < 2e-16, k
-    assert _moment_error(decomposition._WK15, 24) > 1e-9
-    assert _moment_error(decomposition._WG15, 14) > 1e-9
-
-
-def test_three_point_rule_matches_forced_adaptive_at_n3(monkeypatch):
-    # the n = 3 integrand has degree <= 3 on each knot panel, so 2 Gauss
-    # nodes agree with tight adaptive Gauss-Kronrod
-    rng = np.random.default_rng(606)
-    tops = [random_concave_top(rng) for _ in range(40)]
-    fixed = [q_decomp(G, 3) for G in tops]
-    monkeypatch.setattr(decomposition, "_gauss2_panel",
-                        decomposition._adaptive_panel)
-    for G, r in zip(tops, fixed):
-        gk = q_decomp(G, 3, tol=1e-13)
-        assert not r.exhausted and not gk.exhausted
-        assert r.error == 0.0
-        assert abs(r.value - gk.value) < 1e-12
-
-
 @pytest.mark.parametrize("G, n, exact", [
     (TRAPEZOID, 3, F(41, 576)),
     (TRAPEZOID, 4, F(187, 23040)),
@@ -252,20 +287,50 @@ def test_q_decomp_known_values(G, n, exact):
     assert abs(r.value - float(exact)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_q_decomp_matches_exact_oracle(n):
+    # at n = 3 also on random_concave_top's tops of up to 8 segments
+    rng = np.random.default_rng(40 + n)
+    tops = [_rational_top(rng, k) for k in (2, 3, 3)]
+    if n == 3:
+        tops += [random_concave_top(rng) for _ in range(20)]
+    for G in tops:
+        exact = float(_q_oracle(G, n))
+        r = q_decomp(G, n)
+        assert r.error == 0.0 and abs(r.value - exact) <= 1e-15 * exact, G
+
+
+def test_exact_oracle_known_values():
+    tent = mountain_top(F(1, 3))
+    assert [_q_oracle(TRAPEZOID, n) for n in (3, 4, 5)] == [
+        F(41, 576), F(187, 23040), F(71, 115200)]
+    assert [_q_oracle(tent, n) for n in (3, 4, 5)] == [
+        sq.t_closed(n) for n in (3, 4, 5)]
+    for G, exact in [(TRAPEZOID, F(71, 115200)), (tent, sq.t_closed(5))]:
+        r = q_decomp(G, 5)
+        assert abs(r.value - float(exact)) <= 1e-15 * float(exact)
+
+
+def test_q_decomp_budget_bounds_the_work():
+    G = PiecewiseLinearTop(((0, F(1, 2)), (F(1, 3), F(3, 2)),
+                            (F(2, 3), F(4, 3)), (1, 0)))
+    r = q_decomp(G, 4, budget=50)
+    assert r.exhausted and r.evaluations <= 50 and math.isnan(r.value)
+    # the trapezoid at n = 4 takes exactly 69 evaluations
+    assert not q_decomp(TRAPEZOID, 4, budget=69).exhausted
+    short = q_decomp(TRAPEZOID, 4, budget=68)
+    assert short.exhausted and short.evaluations == 68
+
+
+def test_q_decomp_refuses_too_many_segments():
+    knots = [(F(i, 70), F(i * (70 - i), 70 ** 2)) for i in range(71)]
+    with pytest.raises(ValueError, match="segments"):
+        q_decomp(PiecewiseLinearTop(tuple(knots)), 3)
+
+
 def test_q_decomp_trapezoid_n4_evaluation_count():
     r = q_decomp(TRAPEZOID, 4, tol=1e-9)
-    assert r.evaluations <= 1_000
+    assert r.evaluations == 69
     again = q_decomp(TRAPEZOID, 4, tol=1e-9)
-    assert (again.evaluations, again.max_depth) == (r.evaluations,
-                                                    r.max_depth)
+    assert again.evaluations == r.evaluations
     assert r.wall_ms > 0
-
-
-def test_adaptive_panel_reports_bisection_depth():
-    # sqrt is no polynomial, so K15 and G7 differ near 0 and panels bisect
-    b = decomposition._Budget(10_000)
-    value, err = decomposition._adaptive_panel(math.sqrt, 0.0, 1.0, 1e-10, b)
-    assert abs(value - 2 / 3) < 1e-10 and err <= 1e-10
-    assert b.max_depth > 0 and not b.exhausted
-    assert b.used > 15 and b.used % 15 == 0
-    assert q_decomp(TRAPEZOID, 3).max_depth == 0     # fixed rule, no bisection
