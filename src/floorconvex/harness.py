@@ -132,7 +132,7 @@ def suite_ccsf(trials: int = 10, seed: int = 0, samples: int = 0) -> Report:
         q2 = q2_exact(frustum(h, 3))
         rep.check_le(f"frustum h={h:.3f} d=3: Q(2) >= mountain bound 1/2",
                      0.5, q2, slack=1e-12)
-        rep.check_le(f"frustum h={h:.3f} d=3: Q(2) >= 1 - 2h/3 - 4sigma",
+        rep.check_le(f"frustum h={h:.3f} d=3: Q(2) >= 1 - 2h/3",
                      1.0 - 2.0 * h / 3.0, q2, slack=1e-12)
         rep.check_le(f"frustum h={h:.3f} d=3: Q(2) < 1", q2, 1.0)
     return _finish(rep, t0)

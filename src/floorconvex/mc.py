@@ -4,7 +4,10 @@ The batch predicates run in floating point with a certified margin; trials
 whose verdict falls inside the margin are re-checked with the exact rational
 predicates.  Work is split into fixed-size chunks, each with its own random
 stream keyed by (seed, chunk index), and per-chunk tallies are merged in
-chunk order, so results are bit-identical for any worker count.
+chunk order, so results are bit-identical for any worker count.  Within a
+chunk the predicates run on row slices of _SLICE; each slice takes its
+margin from its own rows, so the success counts do not depend on the
+slicing.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .samplers import (RngStream, floor_radius_batch, sample_body,
 
 _EPS = np.finfo(float).eps
 DEFAULT_CHUNK = 250_000
-# rows per pass of the 3D predicate, whose per-trial cost grows with array size
-_SLICE = 25_000
+# rows per predicate call: the per-trial cost of the array passes grows
+# once their temporaries no longer fit in cache
+_SLICE = 12_288
 LOW_POWER_SUCCESSES = 100
 # first point of every anchored chain
 _ANCHOR = (1, 0)
@@ -326,7 +330,7 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     simplices, m = n - 1: 16 for the square floor and n = 4.
 
     Per simplex (q0, a, b, c), with every point taken relative to q0 (once
-    per slice, rounded), d0 = det[a, b, c], and e_k is d0 with x in place of
+    per call, rounded), d0 = det[a, b, c], and e_k is d0 with x in place of
     its k-th vertex.  e1 = det[x, b, c], e2 = -det[x, a, c] and e3 =
     det[x, a, b] come from the pairs of the simplex, so each is computed
     once per pair and shared by the simplices holding it.  When d0 != 0 the
@@ -369,24 +373,16 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     simplex of its fan, fails when some point is certified inside one, and
     is left ambiguous (-1) otherwise.  Each row's points are tested lowest
     first: the lowest point is the one most often inside the hull, so most
-    failing rows leave after one point.  Rows go through in slices of
-    _SLICE, since the per-trial cost of the array passes grows with their
-    size; scale and margin come from the whole batch, so no verdict depends
-    on the slicing.
+    failing rows leave after one point.  Scale and margin come from the
+    rows of the call, so when the runner passes a slice of a chunk they are
+    a valid S for each of its rows: certified verdicts are exact whatever
+    the slicing, and only which rows are left ambiguous may depend on it.
     """
     floor = geometry.convex_floor([tuple(map(float, f)) for f in floor_xyz])
     scale = max(pts.max(), -pts.min(), np.abs(floor_xyz).max()) + 1.0
     margin = 2048.0 * _EPS * scale ** 3
-    fan = geometry.floor_fan(len(floor), pts.shape[1] - 1)
-    verdict = np.empty(pts.shape[0], dtype=np.int8)
-    for s in range(0, pts.shape[0], _SLICE):
-        verdict[s:s + _SLICE] = _verdicts_3d_slice(pts[s:s + _SLICE], floor,
-                                                   fan, margin)
-    return verdict
-
-
-def _verdicts_3d_slice(pts, floor, fan, margin):
     rows, n, _ = pts.shape
+    fan = geometry.floor_fan(len(floor), n - 1)
     (qx, qy, _), *rest = floor
     # fan index j < kf: floor vertex f[j]; j >= kf: sample point p[j - kf];
     # all relative to q0, the floor's heights exactly 0
@@ -523,8 +519,9 @@ def _estimate_convex(sample, n: int, always: int, verdicts, exact,
                      n_samples: int, seed: int, workers: int, chunk_size: int,
                      *floor) -> EstimateResult:
     """Chance that n points drawn by sample(rng, count) pass the convex-position
-    test: verdicts(pts, *floor) on each (size, n, dim) chunk, with exact(points,
-    *floor) settling its ambiguous trials.  n <= always always passes."""
+    test: verdicts(pts, *floor) on each slice of _SLICE rows of a (size, n,
+    dim) chunk, with exact(points, *floor) settling its ambiguous trials.
+    n <= always always passes."""
     _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
     if n <= always:
@@ -536,7 +533,9 @@ def _estimate_convex(sample, n: int, always: int, verdicts, exact,
         t = [time.perf_counter()]
         pts = sample(rng, size * n).reshape(size, n, -1)
         t.append(time.perf_counter())
-        v = verdicts(pts, *floor)
+        v = np.empty(size, dtype=np.int8)
+        for s in range(0, size, _SLICE):
+            v[s:s + _SLICE] = verdicts(pts[s:s + _SLICE], *floor)
         t.append(time.perf_counter())
         k = _resolve(pts, v, exact, *floor)
         t.append(time.perf_counter())

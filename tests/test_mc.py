@@ -513,10 +513,19 @@ MC2D_PINNED = [("triangle", 3, 11148), ("square", 4, 4708),
                ("parabola", 4, 2266), ("frustum2d:0.5", 4, 15209)]
 
 
-def test_2d_floor_counts_pinned():
+@pytest.mark.parametrize("slice_rows", [mc._SLICE, 7_000])
+def test_2d_floor_counts_pinned(monkeypatch, slice_rows):
+    # 7k-row slices cut the 200k-trial chunk unevenly; each slice takes its
+    # margin from its own rows, which must not move a count
+    monkeypatch.setattr(mc, "_SLICE", slice_rows)
     for i, (name, n, k) in enumerate(MC2D_PINNED):
         r = mc.estimate_Q(builtin_body(name), n, 200_000, seed=30 + i)
         assert r.n_success == k
+    # the floorless centroid walk and the chain, recorded before the runner
+    # sliced its chunks
+    assert mc.estimate_P(builtin_body("square"), 4, 200_000,
+                         seed=34).n_success == 138713
+    assert mc.estimate_fradius_reduction(3, 200_000, seed=35).n_success == 3324
 
 
 def test_seed_changes_result():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from floorconvex.bodies import (UNIT_SQUARE_FLOOR, below_volume,
+from floorconvex import samplers
+from floorconvex.bodies import (BUILTIN_BODIES, UNIT_SQUARE_FLOOR,
+                                SubPrism2D, below_volume, body_from_json,
                                 builtin_body, frustum, max_height,
                                 mean_height, mountain3d,
                                 regular_polygon_floor, tetrahedron)
@@ -133,6 +135,131 @@ def test_polygon_sampler_bit_identical_to_reference(name):
     want = ref_sample_polygon(poly, RngStream(12).generator(), 300_000)
     assert got.shape == want.shape == (300_000, 2)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# The samplers as first written, one rng.random(n) per coordinate, with
+# rng.choice for the fan triangle and column_stack for the output: the
+# oracles for the bit-identity tests of the sliced samplers.
+
+def ref_heights(body, u):
+    if body.c == 1.0:
+        return u * body.H
+    d = body.dimension
+    lam = (1.0 + u * (body.c ** d - 1.0)) ** (1.0 / d)
+    return body.H * (lam - 1.0) / (body.c - 1.0)
+
+
+def ref_sample_body(body, rng, n):
+    if isinstance(body, SubPrism2D):
+        x = body.top.sample_x(rng.random(n))
+        y = body.top.values(x) * rng.random(n)
+        return np.column_stack([x, y])
+    t = ref_heights(body, rng.random(n))
+    if body.dimension == 2:
+        (x0, _), (x1, _) = body.floor
+        floor = (x0 + (x1 - x0) * rng.random(n))[:, None]
+    else:
+        floor = ref_sample_polygon(body.floor, rng, n)
+    xy = (1.0 + (body.c - 1.0) * t / body.H)[:, None] * floor
+    if any(body.a):
+        xy += (t / body.H)[:, None] * np.asarray(body.a)
+    return np.column_stack([xy, t])
+
+
+def ref_sample_heights(body, rng, n):
+    if isinstance(body, SubPrism2D):
+        x = body.top.sample_x(rng.random(n))
+        return body.top.values(x) * rng.random(n)
+    return ref_heights(body, rng.random(n))
+
+
+def ref_density_g1(rng, n):
+    return np.column_stack([np.sqrt(rng.random(n)), rng.random(n)])
+
+
+def ref_density_g2(rng, n):
+    y = 3.0 * (1.0 - (1.0 - rng.random(n)) ** (1.0 / 3.0))
+    x = (1.0 - y / 3.0) * np.sqrt(rng.random(n))
+    return np.column_stack([x, y])
+
+
+ORACLE_BODIES = {
+    **BUILTIN_BODIES,
+    "frustum2d:0.6": lambda: builtin_body("frustum2d:0.6"),
+    "frustum3d:1.5": lambda: builtin_body("frustum3d:1.5"),
+    # a pentagon floor and an apex off the origin: every coordinate shifts
+    "json_mountain": lambda: body_from_json(
+        {"kind": "mountain", "floor": [[0, 0], [2, 0], [2, 1], [1, 2], [0, 1]],
+         "apex": [0.3, -0.2, 3.0]}),
+}
+# below one slice, and more than one slice but not a multiple of it
+ORACLE_SIZES = (1_000, 100_003)
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+@pytest.mark.parametrize("name", sorted(ORACLE_BODIES))
+def test_samplers_bit_identical_to_reference(name, n):
+    assert samplers._SLICE < 100_003 and 100_003 % samplers._SLICE
+    body = ORACLE_BODIES[name]()
+    assert _same_bits(sample_body(body, RngStream(15).generator(), n),
+                      ref_sample_body(body, RngStream(15).generator(), n))
+    assert _same_bits(sample_heights(body, RngStream(16).generator(), n),
+                      ref_sample_heights(body, RngStream(16).generator(), n))
+
+
+def test_json_mountain_apex_is_shifted():
+    assert ORACLE_BODIES["json_mountain"]().a == (0.3, -0.2)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_densities_bit_identical_to_reference(n):
+    for sample, ref in ((sample_density_g1, ref_density_g1),
+                        (sample_density_g2, ref_density_g2)):
+        assert _same_bits(sample(RngStream(17).generator(), n),
+                          ref(RngStream(17).generator(), n))
+
+
+def test_fan_draw_at_a_cdf_breakpoint_takes_the_next_triangle():
+    # Generator.choice(p=...) picks cdf.searchsorted(u, side="right"); random
+    # draws almost never hit a breakpoint, so the oracle tests above cannot
+    # tell the sides apart.  With r1 = 1 and r2 = 0 the point is b of the
+    # triangle drawn.
+    fan = samplers._fan(UNIT_SQUARE_FLOOR)
+    a, b, c, cdf = fan
+    u0 = np.array([0.0, cdf[0], np.nextafter(cdf[0], 0.0)])
+    x, y = samplers._fan_points(fan, np.array([u0, [1.0] * 3, [0.0] * 3]))
+    assert x.tolist() == [b[0, 0], b[1, 0], b[0, 0]]
+    assert y.tolist() == [b[0, 1], b[1, 1], b[0, 1]]
+
+
+def ref_floor_radius(polygon, x, y):
+    """The gauge in Python floats: the edges' (x nx + y ny) / b in edge
+    order, their max, then the max with 0."""
+    vals = []
+    for (px, py), (qx, qy) in zip(polygon, [*polygon[1:], polygon[0]]):
+        nx, ny = qy - py, -(qx - px)
+        vals.append((x * nx + y * ny) / (nx * px + ny * py))
+    return max(max(vals), 0.0)
+
+
+@pytest.mark.parametrize("poly", [UNIT_SQUARE_FLOOR, regular_polygon_floor(5)],
+                         ids=["square", "pentagon"])
+def test_floor_radius_bit_identical_to_python_floats(poly):
+    poly = [tuple(map(float, v)) for v in poly]
+    rng = RngStream(18).generator()
+    # points inside and outside the floor, and the origin
+    xy = 1.5 * sample_polygon(poly, rng, 40_000)
+    xy[0] = 0.0
+    got = floor_radius_batch(poly, xy)
+    want = np.array([ref_floor_radius(poly, x, y) for x, y in xy.tolist()])
+    # the sign of a zero gauge follows the tie rule of each max; adding 0.0
+    # makes every zero +0.0 and leaves the other values as they are
+    assert _same_bits(got + 0.0, want + 0.0)
 
 
 def test_density_g1_moments():
