@@ -8,9 +8,9 @@
   the mountain over a triangle with its apex above a floor vertex.
 
 Constructors normalize to unit volume (and, except for the frustum and the
-tetrahedron, to unit floor volume); the applied scales are recorded.  Floor
-polygons are stored with their centroid at the origin, except the
-tetrahedron's, which keeps its reference coordinates.
+tetrahedron, to unit floor volume).  Floor polygons are stored with their
+centroid at the origin, except the tetrahedron's, which keeps its reference
+coordinates.
 """
 
 from __future__ import annotations
@@ -31,8 +31,14 @@ from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
 # ---------------------------------------------------------------------------
 # Floor polygons
 
+def polygon_area(polygon) -> float:
+    n = len(polygon)
+    return 0.5 * sum(polygon[i][0] * polygon[(i + 1) % n][1]
+                     - polygon[(i + 1) % n][0] * polygon[i][1] for i in range(n))
+
+
 def normalize_floor_polygon(vertices):
-    """Return (polygon, scale): ccw convex polygon with area 1 and centroid 0.
+    """The ccw convex polygon with area 1 and centroid 0 similar to vertices.
 
     vertices: iterable of (x, y), in any order.  Raises ValueError on
     degenerate input and unless the vertices, sorted by angle around their
@@ -44,12 +50,10 @@ def normalize_floor_polygon(vertices):
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
     pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    area2 = sum(pts[i][0] * pts[(i + 1) % len(pts)][1]
-                - pts[(i + 1) % len(pts)][0] * pts[i][1] for i in range(len(pts)))
-    if area2 <= 0:
+    area = polygon_area(pts)
+    if area <= 0:
         raise ValueError("floor polygon is degenerate")
     convex_floor(pts)
-    area = area2 / 2
     gx = gy = 0.0
     for i in range(len(pts)):
         x0, y0 = pts[i]
@@ -60,24 +64,17 @@ def normalize_floor_polygon(vertices):
     gx /= 6 * area
     gy /= 6 * area
     s = 1.0 / math.sqrt(area)
-    return tuple(((x - gx) * s, (y - gy) * s) for (x, y) in pts), s
+    return tuple(((x - gx) * s, (y - gy) * s) for (x, y) in pts)
 
 
-def polygon_area(polygon) -> float:
-    n = len(polygon)
-    return 0.5 * sum(polygon[i][0] * polygon[(i + 1) % n][1]
-                     - polygon[(i + 1) % n][0] * polygon[i][1] for i in range(n))
-
-
-UNIT_SQUARE_FLOOR = normalize_floor_polygon(
-    [(0, 0), (1, 0), (1, 1), (0, 1)])[0]
+UNIT_SQUARE_FLOOR = normalize_floor_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def regular_polygon_floor(k: int):
     """Unit-area regular k-gon, centroid at the origin."""
     raw = [(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k))
            for i in range(k)]
-    return normalize_floor_polygon(raw)[0]
+    return normalize_floor_polygon(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +97,8 @@ class LinearLayerBody:
     The layer at height t is (t/H) a + lam(t) F with
     lam(t) = 1 + (c - 1) t / H.  floor is F: the endpoints of a segment on
     the x-axis in 2D, a ccw polygon in 3D.  kind names the family for the
-    JSON descriptor; h and scale are the frustum's pre-scale height and the
-    factor applied to all its coordinates.
+    JSON descriptor; h is the frustum's height before its rescaling to
+    unit volume.
     """
     kind: str
     floor: tuple
@@ -109,7 +106,6 @@ class LinearLayerBody:
     H: float
     a: tuple = (0.0, 0.0)
     h: float | None = None
-    scale: float = 1.0
     dimension: int = field(init=False)
     floor_vol: float = field(init=False)
 
@@ -128,7 +124,7 @@ BodyWithFloor = SubPrism2D | LinearLayerBody
 def _unit_floor(floor_polygon):
     if floor_polygon is None:
         return UNIT_SQUARE_FLOOR
-    return normalize_floor_polygon(floor_polygon)[0]
+    return normalize_floor_polygon(floor_polygon)
 
 
 def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
@@ -151,7 +147,7 @@ def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
     else:
         floor = tuple((x * s, y * s) for (x, y) in _unit_floor(floor_polygon))
     return LinearLayerBody("frustum", floor, c, h * s, a=(0.0,) * (d - 1),
-                           h=h, scale=s)
+                           h=h)
 
 
 def mountain3d(floor_polygon=None, apex_xy=(0.0, 0.0)) -> LinearLayerBody:
@@ -191,11 +187,6 @@ def max_height(body: BodyWithFloor) -> float:
     if isinstance(body, SubPrism2D):
         return body.top.max_height()
     return body.H
-
-
-def floor_volume(body: BodyWithFloor) -> float:
-    """(d-1)-volume of the floor (length in 2D, area in 3D)."""
-    return body.floor_vol
 
 
 def _heights(t):
@@ -244,8 +235,8 @@ def mean_height(body: BodyWithFloor) -> float:
 
 def q2_exact(body: BodyWithFloor) -> float:
     """Two-point convex-position probability Q(2).  The hull of the floor and
-    one point at height h is a cone of volume floor_volume * h / d, so
-    Q(2) = 1 - 2 * floor_volume * E[h] / d."""
+    one point at height h is a cone of volume floor_vol * h / d, so
+    Q(2) = 1 - 2 * floor_vol * E[h] / d."""
     return 1.0 - 2.0 / body.dimension * (body.floor_vol * mean_height(body))
 
 
@@ -291,16 +282,24 @@ def body_to_json(body: BodyWithFloor) -> dict:
 
 
 def body_from_json(d: dict) -> BodyWithFloor:
+    """The body of a body_to_json descriptor; a key the body cannot honour
+    (a mountain apex height other than 3, a floor on a 2D frustum) is a
+    ValueError."""
     kind = d.get("kind")
     if kind == "subprism2d":
         return SubPrism2D(_top_from_json(d["top"]))
     if kind == "mountain":
-        floor = d.get("floor")
-        apex = d.get("apex", [0.0, 0.0, 3.0])
-        return mountain3d(floor, apex_xy=(apex[0], apex[1]))
+        apex = d.get("apex", [0.0, 0.0])
+        x, y, *height = apex
+        if height not in ([], [3]):
+            raise ValueError(f"mountain 'apex' {apex} is not [x, y, 3]: the "
+                             f"unit-volume mountain has height 3")
+        return mountain3d(d.get("floor"), apex_xy=(x, y))
     if kind == "prism":
         return prism3d(d.get("floor"))
     if kind == "frustum":
+        if d["dimension"] == 2 and "floor" in d:
+            raise ValueError("a 2D frustum takes no 'floor'")
         return frustum(d["h"], d["dimension"], d.get("floor"))
     if kind == "tetrahedron":
         return tetrahedron()

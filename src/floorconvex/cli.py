@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, harness, mc
 from .bodies import (SubPrism2D, _top_from_json, below_volume, body_to_json,
-                     builtin_body, floor_volume, layer_volume, load_body,
-                     load_descriptor, max_height, q2_exact)
+                     builtin_body, layer_volume, load_body, load_descriptor,
+                     max_height, q2_exact)
 from .decomposition import DEFAULT_BUDGET, q_decomp
 from .sequences import SEQUENCE_NAMES, sequence
 
@@ -197,7 +197,7 @@ def cmd_body(args):
                                         layer_volume(body, ts).tolist(),
                                         below_volume(body, ts).tolist())]
     return {"body": body_to_json(body), "dimension": body.dimension,
-            "max_height": hm, "floor_volume": floor_volume(body),
+            "max_height": hm, "floor_volume": body.floor_vol,
             "volume": below_volume(body, hm), "q2": q2_exact(body),
             "rows": table}, None
 

@@ -38,9 +38,9 @@ MAX_SEGMENTS = 64
 class NormalizedSplit:
     """Chord split of a top function at abscissa t."""
     t: Fraction
-    left: TopFunction | None     # None iff the left mass vanishes
+    left: PiecewiseLinearTop | None     # None iff the left mass vanishes
     left_mass: Fraction
-    right: TopFunction | None
+    right: PiecewiseLinearTop | None
     right_mass: Fraction
 
 
@@ -68,15 +68,10 @@ def _chord_masses(G: PiecewiseLinearTop, t: Fraction):
     return gt, left, right
 
 
-def split(G: TopFunction, t) -> NormalizedSplit:
+def split(G: PiecewiseLinearTop, t) -> NormalizedSplit:
     """Exact chord split of a piecewise-linear top at rational t in (0, 1)."""
-    if isinstance(G, QuadraticTop):
-        t = Fraction(t)
-        # self-similar family: both normalized parts are the parabola again
-        return NormalizedSplit(t=t, left=QuadraticTop(), left_mass=t ** 3,
-                               right=QuadraticTop(), right_mass=(1 - t) ** 3)
     if not isinstance(G, PiecewiseLinearTop):
-        raise TypeError("split needs a piecewise-linear or quadratic top")
+        raise TypeError("split needs a piecewise-linear top")
     t = Fraction(t)
     if not 0 < t < 1:
         raise ValueError("split abscissa must lie in (0, 1)")

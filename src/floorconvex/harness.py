@@ -28,6 +28,8 @@ from .topfunctions import (constant_top, mountain_decompose, q2_exact_subprism,
                            random_concave_top, triangle_top)
 
 SIGMA = 4.0
+DOMINANCE_GRID = 1000       # heights per body in suite_dominance
+CONCAVITY_GRID = 200        # heights per body in suite_layer_concavity
 
 _RANDOM_MODEL = ("pwl tops: <=8 segments, slopes sorted normal(0,2); "
                  "frustum heights uniform; floors: regular k-gons, k in 3..8")
@@ -138,11 +140,12 @@ def suite_ccsf(trials: int = 10, seed: int = 0, samples: int = 0) -> Report:
     return _finish(rep, t0)
 
 
-def suite_dominance(trials: int = 100, seed: int = 0, samples: int = 0,
-                    grid: int = 1000) -> Report:
+def suite_dominance(trials: int = 100, seed: int = 0,
+                    samples: int = 0) -> Report:
     """Below-level volume of any admissible body dominates the mountain's."""
     t0 = time.perf_counter()
-    rep = Report("dominance", seed, {"trials": trials, "grid": grid})
+    rep = Report("dominance", seed,
+                 {"trials": trials, "grid": DOMINANCE_GRID})
 
     def mountain_below(t, d, hmax):
         return 1.0 - np.maximum(1.0 - t / hmax, 0.0) ** d
@@ -150,11 +153,11 @@ def suite_dominance(trials: int = 100, seed: int = 0, samples: int = 0,
     def check(body, label):
         d = body.dimension
         hm = d  # unit mountain over a unit floor has apex height d
-        ts = np.linspace(0.0, max(max_height(body), hm), grid)
+        ts = np.linspace(0.0, max(max_height(body), hm), DOMINANCE_GRID)
         worst = float(np.min(below_volume(body, ts)
                              - mountain_below(ts, d, hm)))
-        rep.add(f"{label}: B_K >= B_M on {grid}-grid", worst, 0.0, worst,
-                worst >= -1e-12)
+        rep.add(f"{label}: B_K >= B_M on {DOMINANCE_GRID}-grid", worst, 0.0,
+                worst, worst >= -1e-12)
 
     rep.check_le("prism vs mountain d=3 at t=1: 1-(2/3)^3 <= 1",
                  1.0 - (2.0 / 3.0) ** 3, below_volume(prism3d(), 1.0))
@@ -172,13 +175,14 @@ def suite_dominance(trials: int = 100, seed: int = 0, samples: int = 0,
 
 
 def suite_layer_concavity(trials: int = 100, seed: int = 0,
-                          samples: int = 0, grid: int = 200) -> Report:
+                          samples: int = 0) -> Report:
     """Midpoint concavity of L_K(t)^(1/(d-1)) along the height."""
     t0 = time.perf_counter()
-    rep = Report("layer_concavity", seed, {"trials": trials, "grid": grid})
+    rep = Report("layer_concavity", seed,
+                 {"trials": trials, "grid": CONCAVITY_GRID})
 
     def check(body, label, expect_linear=False):
-        ts = np.linspace(0.0, max_height(body), grid)
+        ts = np.linspace(0.0, max_height(body), CONCAVITY_GRID)
         vals = layer_volume(body, ts) ** (1.0 / (body.dimension - 1))
         mids = (vals[:-2] + vals[2:]) / 2 - vals[1:-1]
         worst = float(mids.max())   # concavity: midpoint average below value

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry
-from .bodies import BodyWithFloor, floor_volume, mountain3d
+from .bodies import BodyWithFloor, mountain3d
 from .samplers import (RngStream, floor_radius_batch, sample_body,
                        sample_density_g1, sample_density_g2, sample_heights)
 
@@ -521,7 +521,9 @@ def _estimate_convex(sample, n: int, always: int, verdicts, exact,
     """Chance that n points drawn by sample(rng, count) pass the convex-position
     test: verdicts(pts, *floor) on each slice of _SLICE rows of a (size, n,
     dim) chunk, with exact(points, *floor) settling its ambiguous trials.
-    n <= always always passes."""
+    n <= always always passes; n < 0 is a ValueError."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
     if n <= always:
@@ -551,8 +553,6 @@ def _estimate_convex(sample, n: int, always: int, verdicts, exact,
 def estimate_Q(body: BodyWithFloor, n: int, n_samples: int, seed: int = 0,
                workers: int = 1, chunk_size: int = DEFAULT_CHUNK) -> EstimateResult:
     """P(n uniform points are in convex position with the floor)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if body.dimension == 2:
         verdicts = convex_position_verdicts_2d
         exact = geometry.in_convex_position_with_floor_2d
@@ -583,7 +583,7 @@ def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
     estimated from sampled heights."""
     _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
-    coef = 2.0 * floor_volume(body) / body.dimension
+    coef = 2.0 * body.floor_vol / body.dimension
 
     def chunk(rng, size):
         t = time.perf_counter()

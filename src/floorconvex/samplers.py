@@ -79,13 +79,6 @@ def _fan_points(fan, u):
             for k in range(2)]
 
 
-def sample_polygon(polygon, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points in a convex polygon, shape (n, 2): a fan triangle
-    drawn by area, then a point of it by the square-root map."""
-    columns = functools.partial(_fan_points, _fan(polygon))
-    return _map_uniforms(rng, 3, n, columns, 2)
-
-
 # ---------------------------------------------------------------------------
 # Full-point samplers
 

@@ -46,7 +46,7 @@ n^6 for the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -161,10 +161,6 @@ def s_closed(n: int) -> Fraction:
     return Fraction(2 * 4 ** n, (n + 1) * math.comb(2 * n + 2, n + 1))
 
 
-def s_from_pt(n: int) -> Fraction:
-    return Fraction(2, 3) ** n * p_closed(n) / t_closed(n)
-
-
 # ---------------------------------------------------------------------------
 # 3D mountain lower bound Y_n
 
@@ -241,21 +237,6 @@ def q2_prism(d: int) -> Fraction:
     if d < 2:
         raise ValueError("dimension must be >= 2")
     return 1 - Fraction(1, d)
-
-
-# ---------------------------------------------------------------------------
-# Lattice-path identity behind the parabola recursion
-
-def parabola_path_identity_holds(n: int) -> bool:
-    """Exact check of the convolution identity used to close the parabola
-    recursion (first-passage counts of +2/-1 paths)."""
-    lhs = Fraction(4 * math.comb(3 * n + 1, n - 1), 3 * n + 1)
-    rhs = Fraction(0)
-    for k in range(n):
-        j = n - k - 1
-        rhs += (Fraction(2 * math.comb(2 + 3 * k, k), 3 * k + 2)
-                * Fraction(2 * math.comb(2 + 3 * j, j), 2 + 3 * j))
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

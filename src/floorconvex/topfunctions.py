@@ -22,13 +22,9 @@ _SLOPE_MERGE_TOL = 1e-14
 class PiecewiseLinearTop:
     """Concave nonnegative piecewise-linear profile, exact rational knots.
 
-    Construction rescales the heights so the integral is exactly 1; the
-    applied vertical scale is recorded.
+    Construction rescales the heights so the integral is exactly 1.
     """
     knots: tuple          # ((x0, y0), ..., (xm, ym)), Fractions, x0=0, xm=1
-    scale: Fraction = Fraction(1)
-
-    kind = "pwl"
 
     def __post_init__(self):
         ks = tuple((Fraction(x), Fraction(y)) for (x, y) in self.knots)
@@ -51,27 +47,21 @@ class PiecewiseLinearTop:
             if abs(float(dl - dr)) >= _SLOPE_MERGE_TOL:
                 merged.append(ks[i])
         merged.append(ks[-1])
-        area = sum((x1 - x0) * (y0 + y1) / 2
-                   for (x0, y0), (x1, y1) in zip(merged, merged[1:]))
+        object.__setattr__(self, "knots", tuple(merged))
+        area = self.integral()
         if area <= 0:
             raise ValueError("top function must have positive area")
-        object.__setattr__(self, "scale", 1 / area)
         object.__setattr__(
             self, "knots", tuple((x, y / area) for (x, y) in merged))
 
     def value(self, x):
-        ks = self.knots
-        if not 0 <= x <= 1:
-            raise ValueError("x outside [0, 1]")
-        for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return ks[-1][1]
+        """G(x), exactly; an x outside [0, 1] raises ValueError."""
+        return self.values_exact([x])[0]
 
     def values_exact(self, xs) -> list:
-        """G at each x of the ascending xs, exactly: the same Fractions as
-        ``value``, from one sweep over the segments with one line each.
-        An x below the current segment or above 1 raises ValueError."""
+        """G at each x of the ascending xs, exactly, from one sweep over the
+        segments with one line each.  An x below the current segment or
+        above 1 raises ValueError."""
         ks = self.knots
         out, i, line = [], 0, None
         for x in xs:
@@ -178,17 +168,8 @@ def _sloped_root(r, y0, slope):
 class QuadraticTop:
     """The parabola profile 6x(1-x); already has unit integral."""
 
-    kind = "quadratic"
-    scale = Fraction(1)
-
-    def value(self, x):
-        return 6 * x * (1 - x)
-
     def values(self, x: np.ndarray) -> np.ndarray:
         return 6.0 * x * (1.0 - x)
-
-    def integral(self) -> Fraction:
-        return Fraction(1)
 
     def integral_sq(self) -> Fraction:
         return Fraction(6, 5)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from floorconvex.bodies import (SubPrism2D, below_volume, body_from_json,
-                                body_to_json, builtin_body, floor_volume,
-                                frustum, layer_volume, load_body, max_height,
+                                body_to_json, builtin_body, frustum,
+                                layer_volume, load_body, max_height,
                                 mean_height, mountain3d,
                                 normalize_floor_polygon, polygon_area,
                                 prism3d, regular_polygon_floor, tetrahedron)
@@ -21,11 +21,11 @@ ALL_BUILTINS = ("triangle", "square", "parabola", "mountain2d", "mountain3d",
 
 
 def test_floor_polygon_normalization():
-    poly, scale = normalize_floor_polygon([(0, 0), (3, 0), (3, 3), (0, 3)])
+    poly = normalize_floor_polygon([(0, 0), (3, 0), (3, 3), (0, 3)])
     assert polygon_area(poly) == pytest.approx(1.0, abs=1e-12)
     assert sum(x for x, _ in poly) == pytest.approx(0.0, abs=1e-12)
     assert sum(y for _, y in poly) == pytest.approx(0.0, abs=1e-12)
-    assert scale == pytest.approx(1 / 3)
+    assert poly[0] == pytest.approx((-0.5, -0.5))
 
 
 def test_floor_polygon_rejects_degenerate():
@@ -79,7 +79,7 @@ def test_tetrahedron_convention():
     t = tetrahedron()
     assert t.floor == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     assert (*t.a, max_height(t)) == (0.0, 0.0, 6.0)   # apex above (0, 0)
-    assert floor_volume(t) == 0.5
+    assert t.floor_vol == 0.5
     assert layer_volume(t, 0.0) == pytest.approx(0.5)
     assert mean_height(t) == pytest.approx(1.5)
 
@@ -88,14 +88,14 @@ def test_frustum_dilation_values():
     assert frustum(1.0, 3).c == pytest.approx(1.0)
     assert frustum(0.5, 3).c == pytest.approx(math.sqrt(3.0))
     assert frustum(0.5, 2).c == pytest.approx(3.0)
-    assert frustum(0.5, 2).scale == pytest.approx(1.0)
+    assert frustum(0.5, 2).H == pytest.approx(0.5)   # no rescale in 2D
 
 
 def test_frustum_floor_at_least_unit():
     # the isotropic unit-volume rescale never shrinks the floor below area 1
     for h in np.linspace(0.05, 1.95, 25):
-        assert floor_volume(frustum(float(h), 3)) >= 1.0 - 1e-12
-        assert floor_volume(frustum(float(h), 2)) == pytest.approx(1.0)
+        assert frustum(float(h), 3).floor_vol >= 1.0 - 1e-12
+        assert frustum(float(h), 2).floor_vol == pytest.approx(1.0)
 
 
 def test_frustum_rejects_bad_height():
@@ -183,6 +183,17 @@ def test_load_body_names_a_missing_key(tmp_path, desc, key):
     path.write_text(json.dumps(desc))
     with pytest.raises(ValueError, match=key):
         load_body(str(path))
+
+
+@pytest.mark.parametrize("desc, key", [
+    ({"kind": "mountain", "dimension": 3, "apex": [0.1, 0, 7]}, "'apex'"),
+    ({"kind": "mountain", "dimension": 3, "apex": [0.1, 0, 3, 1]}, "'apex'"),
+    ({"kind": "frustum", "dimension": 2, "h": 0.5,
+      "floor": [[0, 0], [1, 0], [0, 1]]}, "'floor'"),
+])
+def test_descriptor_key_the_body_cannot_honour_raises(desc, key):
+    with pytest.raises(ValueError, match=key):
+        body_from_json(desc)
 
 
 def test_unknown_body_raises():

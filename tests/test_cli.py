@@ -147,11 +147,13 @@ def test_estimate_bad_body_exits_1(capsys):
     ("--body", "triangle", "--n", "3", "--samples", "100", "--workers", "0"),
     ("--estimator", "q2-height", "--body", "square", "--samples", "100",
      "--workers", "0"),
+    *[("--estimator", e, "--body", "triangle", "--n", "-3", "--samples", "10")
+      for e in ("q", "no-floor", "beta1", "beta2", "fradius")],
 ])
 def test_estimate_counts_below_one_exit_1(capsys, argv):
-    code, _, err = run(capsys, "estimate", "--seed", "1", *argv)
-    assert code == 1
-    assert err.startswith("error:")
+    code, out, err = run(capsys, "estimate", "--seed", "1", *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_quadrature(capsys):

@@ -38,13 +38,6 @@ def test_split_triangle_degenerates_left():
     assert sp.right.knots == ((0, 0), (1, 2))
 
 
-def test_split_parabola_self_similar():
-    sp = split(QuadraticTop(), F(1, 4))
-    assert sp.left_mass == F(1, 64)
-    assert sp.right_mass == F(27, 64)
-    assert isinstance(sp.left, QuadraticTop)
-
-
 def test_split_rejects_bad_abscissa():
     with pytest.raises(ValueError):
         split(constant_top(), F(0))
@@ -52,6 +45,8 @@ def test_split_rejects_bad_abscissa():
         split(constant_top(), F(1))
     with pytest.raises(TypeError):
         split("not a top", F(1, 2))
+    with pytest.raises(TypeError):
+        split(QuadraticTop(), F(1, 2))     # q_decomp has its closed form
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),

@@ -378,6 +378,20 @@ def test_q_trivial_cases():
         mc.estimate_Q(builtin_body("triangle"), -1, 1000)
 
 
+def test_estimators_reject_negative_n():
+    tri = builtin_body("triangle")
+    estimators = [lambda n: mc.estimate_Q(tri, n, 100),
+                  lambda n: mc.estimate_P(tri, n, 100),
+                  lambda n: mc.estimate_beta1(n, 100),
+                  lambda n: mc.estimate_beta2(n, 100),
+                  lambda n: mc.estimate_fradius_reduction(n, 100)]
+    for estimate in estimators:
+        assert estimate(0).estimate == 1.0
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                estimate(n)
+
+
 def test_estimators_reject_counts_below_one():
     tri = builtin_body("triangle")
     estimators = [

@@ -9,12 +9,11 @@ from floorconvex import samplers
 from floorconvex.bodies import (BUILTIN_BODIES, UNIT_SQUARE_FLOOR,
                                 SubPrism2D, below_volume, body_from_json,
                                 builtin_body, frustum, max_height,
-                                mean_height, mountain3d,
+                                mean_height, mountain3d, prism3d,
                                 regular_polygon_floor, tetrahedron)
 from floorconvex.samplers import (RngStream, floor_radius_batch,
                                   sample_body, sample_density_g1,
-                                  sample_density_g2, sample_heights,
-                                  sample_polygon)
+                                  sample_density_g2, sample_heights)
 
 N = 200_000
 SIGMA = 4.0
@@ -93,8 +92,15 @@ def test_points_stay_inside_mountain_with_offset_apex():
     assert np.all(a <= 1 - t / 3 + 1e-9)
 
 
+def sample_floor(polygon, rng, n):
+    """n uniform points in a convex polygon: the horizontal coordinates of
+    uniform points in the unit prism over it, whose layers are all the
+    polygon itself (the prism normalizes it to unit area)."""
+    return sample_body(prism3d(polygon), rng, n)[:, :2]
+
+
 def test_polygon_sampler_box_moments():
-    pts = sample_polygon(UNIT_SQUARE_FLOOR, RngStream(8).generator(), N)
+    pts = sample_floor(UNIT_SQUARE_FLOOR, RngStream(8).generator(), N)
     se = 1.0 / math.sqrt(12 * N)
     assert abs(pts[:, 0].mean()) <= SIGMA * se
     assert abs(pts[:, 1].mean()) <= SIGMA * se
@@ -108,7 +114,7 @@ def test_polygon_sampler_box_moments():
 
 def test_polygon_sampler_pentagon_containment():
     poly = regular_polygon_floor(5)
-    pts = sample_polygon(poly, RngStream(9).generator(), 50_000)
+    pts = sample_floor(poly, RngStream(9).generator(), 50_000)
     assert np.all(floor_radius_batch(poly, pts) <= 1 + 1e-9)
 
 
@@ -129,10 +135,12 @@ def ref_sample_polygon(polygon, rng, n):
 @pytest.mark.parametrize("name", ["tetrahedron", "prism3d", "mountain3d",
                                   "pentagon"])
 def test_polygon_sampler_bit_identical_to_reference(name):
-    poly = (regular_polygon_floor(5) if name == "pentagon"
-            else builtin_body(name).floor)
-    got = sample_polygon(poly, RngStream(12).generator(), 300_000)
-    want = ref_sample_polygon(poly, RngStream(12).generator(), 300_000)
+    body = prism3d(regular_polygon_floor(5) if name == "pentagon"
+                   else builtin_body(name).floor)
+    got = sample_body(body, RngStream(12).generator(), 300_000)[:, :2]
+    rng = RngStream(12).generator()
+    rng.random(300_000)                 # the prism's heights come first
+    want = ref_sample_polygon(body.floor, rng, 300_000)
     assert got.shape == want.shape == (300_000, 2)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -253,7 +261,7 @@ def test_floor_radius_bit_identical_to_python_floats(poly):
     poly = [tuple(map(float, v)) for v in poly]
     rng = RngStream(18).generator()
     # points inside and outside the floor, and the origin
-    xy = 1.5 * sample_polygon(poly, rng, 40_000)
+    xy = 1.5 * sample_floor(poly, rng, 40_000)
     xy[0] = 0.0
     got = floor_radius_batch(poly, xy)
     want = np.array([ref_floor_radius(poly, x, y) for x, y in xy.tolist()])
@@ -326,7 +334,6 @@ def test_floor_radius_requires_interior_origin():
 def test_frustum_samples_inside_cross_sections():
     body = frustum(0.5, 3)
     pts = sample_body(body, RngStream(13).generator(), 50_000)
-    hs = body.h * body.scale
-    lam = 1 + (body.c - 1) * pts[:, 2] / hs
+    lam = 1 + (body.c - 1) * pts[:, 2] / body.H
     a = floor_radius_batch(body.floor, pts[:, :2])
     assert np.all(a <= lam + 1e-9)

@@ -67,7 +67,8 @@ def test_parabola_small_values():
 
 def test_s_two_forms_agree():
     for n in range(30):
-        assert sq.s_closed(n) == sq.s_from_pt(n)
+        assert sq.s_closed(n) == (F(2, 3) ** n * sq.p_closed(n)
+                                  / sq.t_closed(n))
 
 
 def test_s_asymptotics_toward_sqrt_pi_over_2():
@@ -105,8 +106,13 @@ def test_beta_rational():
 
 
 def test_path_identity():
+    # the convolution identity that closes the parabola recursion
+    # (first-passage counts of +2/-1 lattice paths)
+    def c(k):
+        return F(2 * math.comb(2 + 3 * k, k), 3 * k + 2)
     for n in range(1, 30):
-        assert sq.parabola_path_identity_holds(n)
+        assert (F(4 * math.comb(3 * n + 1, n - 1), 3 * n + 1)
+                == sum(c(k) * c(n - 1 - k) for k in range(n)))
 
 
 @given(st.integers(min_value=0, max_value=40))
