@@ -138,6 +138,13 @@ def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
     if d not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
     c = (2.0 / h - 1.0) ** (1.0 / (d - 1))
+    try:
+        finite = math.isfinite(c ** d)      # samplers._heights takes c ** d
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"frustum height h = {h} is too small: its top "
+                         f"dilation c = {c} overflows with c ** {d}")
     if abs(c - 1.0) < 1e-12:
         c = 1.0     # samplers._heights divides by c - 1
     vol = h * (_power_sum(c, d) / d)
@@ -282,9 +289,22 @@ def body_to_json(body: BodyWithFloor) -> dict:
 
 
 def body_from_json(d: dict) -> BodyWithFloor:
-    """The body of a body_to_json descriptor; a key the body cannot honour
-    (a mountain apex height other than 3, a floor on a 2D frustum) is a
-    ValueError."""
+    """The body of a body_to_json descriptor.  A key the body cannot honour
+    is a ValueError naming it: a key that body_to_json would not write for
+    the body, a 'dimension' other than the body's, or a mountain apex
+    height other than 3."""
+    body = _build_body(d)
+    extra = sorted(set(d) - set(body_to_json(body)))
+    if extra:
+        raise ValueError(f"a {body.dimension}D {body.kind} takes no "
+                         f"{', '.join(map(repr, extra))}")
+    if d.get("dimension", body.dimension) != body.dimension:
+        raise ValueError(f"a {body.kind} has 'dimension' {body.dimension}, "
+                         f"not {d['dimension']!r}")
+    return body
+
+
+def _build_body(d: dict) -> BodyWithFloor:
     kind = d.get("kind")
     if kind == "subprism2d":
         return SubPrism2D(_top_from_json(d["top"]))
@@ -298,8 +318,6 @@ def body_from_json(d: dict) -> BodyWithFloor:
     if kind == "prism":
         return prism3d(d.get("floor"))
     if kind == "frustum":
-        if d["dimension"] == 2 and "floor" in d:
-            raise ValueError("a 2D frustum takes no 'floor'")
         return frustum(d["h"], d["dimension"], d.get("floor"))
     if kind == "tetrahedron":
         return tetrahedron()

@@ -9,13 +9,13 @@ the subgraph above it, R(t) the part above the chord from (t, G(t)) to
 (1, 0).  NL and NR are the images of these regions under the
 vertical-line-preserving affine maps onto the unit-area standard position.
 
-Single-segment (linear) tops split into a mirrored triangle and a triangle,
-which closes the family and gives an exact rational recursion; the quadratic
-top is self-similar and has a closed form.  Everything else is integrated
-over the knot panels of G, with exact rational splits at the nodes, by one
-Gauss-Legendre rule of n // 2 + 1 nodes: on each panel the integrand is a
-polynomial of degree <= n (proved in q_decomp), so the rule is exact up to
-rounding.
+The triangle (and its mirror) and the quadratic top have closed forms, as
+has n = 2.  Every other top is integrated over the knot panels of G, with
+exact rational splits at the nodes, by one Gauss-Legendre rule of
+n // 2 + 1 nodes: on each panel the integrand is a polynomial of degree
+<= n (proved in q_decomp), so the rule is exact up to rounding.  A
+one-segment top splits into a mirrored triangle and a triangle, so its
+recursion stops one level down.
 """
 
 from __future__ import annotations
@@ -97,54 +97,6 @@ def split(G: PiecewiseLinearTop, t) -> NormalizedSplit:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational recursion for the linear family
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_pow(p, k):
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_integral01(p) -> Fraction:
-    return sum(c / (i + 1) for i, c in enumerate(p))
-
-
-def q_exact_linear(a: Fraction, b: Fraction, n: int) -> Fraction:
-    """Q_n of the unit-integral linear top a x + b, exact.
-
-    The chord split of a linear top gives NL = mirrored triangle with mass
-    b t / 2 and NR = triangle with mass 1 - G(t)/2 - b t / 2, so the
-    recursion closes over triangle values and the integrand is polynomial.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a / 2 + b != 1 or b < 0 or a + b < 0:
-        raise ValueError("needs a nonnegative unit-integral linear top")
-    if n <= 1:
-        return Fraction(1)
-    g = [b, a]                          # G(t)
-    lm = [Fraction(0), b / 2]           # |L(t)|
-    rm = [1 - b / 2, -a / 2 - b / 2]    # |R(t)|
-    total = Fraction(0)
-    for m in range(n):
-        integrand = _poly_mul(g, _poly_mul(_poly_pow(lm, m),
-                                           _poly_pow(rm, n - 1 - m)))
-        total += (math.comb(n - 1, m) * t_closed(m) * t_closed(n - 1 - m)
-                  * _poly_integral01(integrand))
-    return total
-
-
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Legendre panel quadrature
 
 @functools.cache
@@ -184,13 +136,15 @@ def q_decomp(G: TopFunction, n: int, tol: float = 1e-9,
              budget: int = DEFAULT_BUDGET) -> QuadratureResult:
     """Q_n of a top function via the chord-decomposition recursion.
 
-    Linear and quadratic tops, and n = 2, dispatch to exact values.  Other
-    piecewise-linear tops are integrated over the knot panels of G by the
-    Gauss-Legendre rule of n // 2 + 1 nodes, recursing on the split parts
-    at each node (exponential in n; intended for small n).  Each integrand
-    call, at any level, spends one unit of budget; the call that would
-    pass it stops the run, and the result is flagged exhausted, with value
-    NaN and evaluations <= budget.
+    The triangle and its mirror, the quadratic top, and n = 2 dispatch to
+    closed forms.  Every other piecewise-linear top is integrated over the
+    knot panels of G by the Gauss-Legendre rule of n // 2 + 1 nodes,
+    recursing on the split parts at each node (exponential in n; intended
+    for small n); a one-segment top takes just its n // 2 + 1 nodes, as
+    its split parts are triangles.  Each integrand call, at any level,
+    spends one unit of budget; the call that would pass it stops the run,
+    and the result is flagged exhausted, with value NaN and evaluations
+    <= budget.
 
     The rule is exact to degree 2 (n // 2) + 1 >= n, and on a panel the
     integrand is a polynomial of degree <= n, so the value is exact up to
@@ -242,9 +196,8 @@ def _q_decomp(G: TopFunction, n: int, budget: _Budget) -> float:
         return 1.0
     if isinstance(G, QuadraticTop):
         return float(p_closed(n))
-    if len(G.knots) == 2:                   # one segment on [0, 1]
-        (_, y0), (_, y1) = G.knots
-        return float(q_exact_linear(y1 - y0, y0, n))
+    if len(G.knots) == 2 and 0 in (G.knots[0][1], G.knots[1][1]):
+        return float(t_closed(n))           # the triangle or its mirror
     if n == 2:
         return float(q2_exact_subprism(G))
     if len(G.knots) > MAX_SEGMENTS:

@@ -301,7 +301,7 @@ def suite_conjecture(trials: int = 10, seed: int = 0,
     for i in range(trials):
         G = random_concave_top(rng, max_segments=4)
         for n in (3, 4):
-            r = q_decomp(G, n, tol=1e-7, budget=500_000)
+            r = q_decomp(G, n, budget=500_000)
             lo, hi = float(t_closed(n)), float(q_closed(n))
             inside = lo - 1e-6 <= r.value <= hi + 1e-6
             rep.add(f"random top {i} n={n}: t_n <= Q <= q_n", r.value, hi,

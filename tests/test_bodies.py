@@ -104,6 +104,12 @@ def test_frustum_rejects_bad_height():
             frustum(h, 3)
     with pytest.raises(ValueError):
         frustum(1.0, 4)
+    # a height so small that the top dilation c, or c ** d, overflows
+    for h, d in ((5e-324, 2), (1e-200, 2), (1e-300, 3)):
+        with pytest.raises(ValueError, match="h = "):
+            frustum(h, d)
+    tiny = frustum(1e-200, 3)       # c ** 3 is about 2.8e300, still finite
+    assert below_volume(tiny, tiny.H) == pytest.approx(1.0)
 
 
 def test_mean_height_matches_quadrature():
@@ -190,6 +196,12 @@ def test_load_body_names_a_missing_key(tmp_path, desc, key):
     ({"kind": "mountain", "dimension": 3, "apex": [0.1, 0, 3, 1]}, "'apex'"),
     ({"kind": "frustum", "dimension": 2, "h": 0.5,
       "floor": [[0, 0], [1, 0], [0, 1]]}, "'floor'"),
+    ({"kind": "prism", "dimension": 2}, "'dimension'"),
+    ({"kind": "tetrahedron", "dimension": 3,
+      "floor": [[0, 0], [1, 0], [0, 1]]}, "'floor'"),
+    ({"kind": "frustum", "dimension": 3, "h": 0.5, "apex": [0, 0, 1]},
+     "'apex'"),
+    ({"kind": "mountain", "dimension": 3, "h": 0.5}, "'h'"),
 ])
 def test_descriptor_key_the_body_cannot_honour_raises(desc, key):
     with pytest.raises(ValueError, match=key):

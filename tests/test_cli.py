@@ -306,6 +306,21 @@ def test_frustum_q2_between_the_cone_and_the_prism(capsys):
         assert hi < q2[0.5] < q2[0.1] < 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--body", "frustum2d:1e-200", "--n", "3", "--samples", "2000",
+     "--seed", "0"),
+    ("estimate", "--body", "frustum3d:1e-300", "--n", "3", "--samples", "2000",
+     "--seed", "0"),
+    ("body", "--body", "frustum2d:5e-324"),
+    ("body", "--body", "frustum2d:1e-200"),
+])
+def test_frustum_whose_dilation_overflows_exits_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("error:") == 1
+    assert "h = " in err and "Traceback" not in err
+
+
 def test_body_refuses_a_reflex_floor(capsys, tmp_path):
     path = tmp_path / "reflex.json"
     path.write_text(json.dumps({"kind": "prism", "floor": [

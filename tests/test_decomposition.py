@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from floorconvex import decomposition
 from floorconvex import sequences as sq
-from floorconvex.decomposition import (NormalizedSplit, q_decomp,
-                                       q_exact_linear, split)
+from floorconvex.decomposition import NormalizedSplit, q_decomp, split
 from floorconvex.topfunctions import (PiecewiseLinearTop, QuadraticTop,
                                       constant_top, mountain_top,
                                       q2_exact_subprism, random_concave_top,
@@ -134,6 +133,14 @@ def _rational_top(rng, k):
     return PiecewiseLinearTop(tuple((x, y - low) for x, y in zip(xs, ys)))
 
 
+def _poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 @functools.cache
 def _midpoint_rule(k):
     """Nodes (2j + 1)/(2k) on [0, 1] with their interpolatory weights."""
@@ -144,8 +151,8 @@ def _midpoint_rule(k):
         for i in range(k):
             if i != j:
                 d = s[j] - s[i]
-                basis = decomposition._poly_mul(basis, [-s[i] / d, 1 / d])
-        rule.append((s[j], decomposition._poly_integral01(basis)))
+                basis = _poly_mul(basis, [-s[i] / d, 1 / d])
+        rule.append((s[j], sum(c / (i + 1) for i, c in enumerate(basis))))
     return rule
 
 
@@ -166,9 +173,8 @@ def _q_oracle(G, n):
     """Q_n of a piecewise-linear top, exact."""
     if n <= 1:
         return F(1)
-    if len(G.knots) == 2:
-        (_, y0), (_, y1) = G.knots
-        return q_exact_linear(y1 - y0, y0, n)
+    if len(G.knots) == 2 and 0 in (G.knots[0][1], G.knots[1][1]):
+        return sq.t_closed(n)               # the triangle or its mirror
     if n == 2:
         return q2_exact_subprism(G)
     return sum((x1 - x0) * w * _exact_integrand(G, n, x0 + (x1 - x0) * s)
@@ -177,25 +183,39 @@ def _q_oracle(G, n):
 
 
 # ---------------------------------------------------------------------------
-# exact linear recursion
+# one-segment tops
 
-def test_exact_linear_reproduces_triangle_and_square():
-    for n in range(10):
-        assert q_exact_linear(2, 0, n) == sq.t_closed(n)
-        assert q_exact_linear(0, 1, n) == sq.q_closed(n)
-        assert q_exact_linear(-2, 2, n) == sq.t_closed(n)
+MIRRORED_TRIANGLE = PiecewiseLinearTop(((0, 2), (1, 0)))
+STRICT_TRAPEZOID = PiecewiseLinearTop(((0, F(1, 2)), (1, F(3, 2))))
 
 
-def test_exact_linear_rejects_non_unit_integral():
-    with pytest.raises(ValueError):
-        q_exact_linear(1, 1, 3)
-
-
-def test_exact_linear_general_slope_is_between_families():
-    # any strict trapezoid sits strictly between triangle and square values
+def test_exact_oracle_on_one_segment_tops():
+    for n in range(8):
+        assert _q_oracle(constant_top(), n) == sq.q_closed(n)
+    # a strict trapezoid sits strictly between triangle and square values
     for n in (2, 3, 4, 5):
-        v = q_exact_linear(F(1), F(1, 2), n)
-        assert sq.t_closed(n) < v < sq.q_closed(n)
+        assert sq.t_closed(n) < _q_oracle(STRICT_TRAPEZOID, n) < sq.q_closed(n)
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_q_decomp_on_one_segment_tops(n):
+    for G, exact in [(constant_top(), sq.q_closed(n)),
+                     (triangle_top(), sq.t_closed(n)),
+                     (MIRRORED_TRIANGLE, sq.t_closed(n)),
+                     (STRICT_TRAPEZOID, _q_oracle(STRICT_TRAPEZOID, n))]:
+        r = q_decomp(G, n)
+        assert abs(r.value - float(exact)) <= 1e-15 * float(exact), (G, n)
+
+
+@pytest.mark.parametrize("n", range(3, 16))
+def test_one_segment_top_costs_one_panel_of_evaluations(n):
+    # its splits are a mirrored triangle and a triangle, both closed forms
+    for G in (constant_top(), STRICT_TRAPEZOID):
+        assert q_decomp(G, n).evaluations == n // 2 + 1
+        short = q_decomp(G, n, budget=n // 2)
+        assert short.exhausted and short.evaluations == n // 2
+    for G in (triangle_top(), MIRRORED_TRIANGLE):
+        assert not q_decomp(G, n, budget=0).exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +226,22 @@ def test_q_decomp_reproduces_closed_families(n):
     for G, ref in [(triangle_top(), sq.t_closed(n)),
                    (constant_top(), sq.q_closed(n)),
                    (QuadraticTop(), sq.p_closed(n))]:
-        r = q_decomp(G, n, tol=1e-9)
+        r = q_decomp(G, n)
         assert not r.exhausted
         assert abs(r.value - float(ref)) < 1e-8
 
 
 def test_q_decomp_examples():
-    assert abs(q_decomp(triangle_top(), 4, 1e-9).value - 1 / 180) < 1e-9
-    assert abs(q_decomp(constant_top(), 3, 1e-9).value - 5 / 36) < 1e-9
-    assert abs(q_decomp(QuadraticTop(), 2, 1e-9).value - 2 / 5) < 1e-9
+    assert abs(q_decomp(triangle_top(), 4).value - 1 / 180) < 1e-9
+    assert abs(q_decomp(constant_top(), 3).value - 5 / 36) < 1e-9
+    assert abs(q_decomp(QuadraticTop(), 2).value - 2 / 5) < 1e-9
 
 
 def test_q_decomp_two_points_matches_exact_functional():
     rng = np.random.default_rng(123)
     for _ in range(100):
         G = random_concave_top(rng)
-        r = q_decomp(G, 2, tol=1e-9)
+        r = q_decomp(G, 2)
         assert abs(r.value - float(q2_exact_subprism(G))) < 1e-9
 
 
@@ -230,7 +250,7 @@ def test_q_decomp_tents_are_shear_images_of_the_triangle():
     # whole sequence coincides with t_n
     for s in (F(1, 4), F(1, 2), F(7, 8)):
         for n in (2, 3):
-            r = q_decomp(mountain_top(s), n, tol=1e-9)
+            r = q_decomp(mountain_top(s), n)
             assert abs(r.value - float(sq.t_closed(n))) < 1e-7
 
 
@@ -239,17 +259,17 @@ def test_q_decomp_mirror_symmetry():
     mirrored = PiecewiseLinearTop(((0, F(1, 2)), (F(3, 4), F(3, 2)),
                                    (1, F(1, 2))))
     for n in (2, 3):
-        a = q_decomp(G, n, tol=1e-8)
-        b = q_decomp(mirrored, n, tol=1e-8)
+        a = q_decomp(G, n)
+        b = q_decomp(mirrored, n)
         assert abs(a.value - b.value) < 1e-7
 
 
 def test_q_decomp_budget_exhaustion_is_flagged():
     G = PiecewiseLinearTop(((0, F(1, 2)), (F(1, 3), F(3, 2)),
                             (F(2, 3), F(4, 3)), (1, 0)))
-    r = q_decomp(G, 4, tol=1e-12, budget=50)
+    r = q_decomp(G, 4, budget=50)
     assert r.exhausted
-    ok = q_decomp(G, 2, tol=1e-9)
+    ok = q_decomp(G, 2)
     assert not ok.exhausted
 
 
