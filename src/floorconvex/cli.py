@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: exact (rational sequences), estimate (Monte Carlo), quadrature
-(decomposition recursion), verify (inequality suites), body (descriptor
+(exact chord sweep), verify (inequality suites), body (descriptor
 validation).  Every JSON or CSV output embeds a run manifest so results are
 replayable.
 Exit codes: 0 success, 1 input error, 2 verification failure.
@@ -158,8 +158,12 @@ def cmd_quadrature(args):
     r = q_decomp(_parse_top(args.top), args.n, budget=args.budget)
     if r.exhausted:
         raise ValueError(f"quadrature needs more than --budget {args.budget} "
-                         f"integrand evaluations")
-    return {"top": args.top, "n": args.n, "rows": [asdict(r)]}, None
+                         f"polynomial states")
+    row = asdict(r)
+    exact = row.pop("exact")
+    with _unlimited_int_digits():
+        row.update(num=str(exact.numerator), den=str(exact.denominator))
+    return {"top": args.top, "n": args.n, "rows": [row]}, None
 
 
 def cmd_verify(args) -> int:
@@ -232,12 +236,12 @@ def build_parser() -> _Parser:
     common(sp)
     sp.set_defaults(func=cmd_estimate)
 
-    sp = sub.add_parser("quadrature", help="decomposition recursion")
+    sp = sub.add_parser("quadrature", help="exact chord sweep")
     sp.add_argument("--top", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="most integrand evaluations; a run that needs more "
-                         "stops and exits 1")
+                    help="most polynomial states; a run that needs more "
+                         "exits 1 before any work")
     common(sp)
     sp.set_defaults(func=cmd_quadrature)
 

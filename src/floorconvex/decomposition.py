@@ -1,5 +1,4 @@
-"""Recursive chord decomposition of a top function and numerical evaluation
-of the convex-position recursion
+"""Chord decomposition of a top function and the exact chord sweep for Q_n
 
     Q^G_n = sum_m C(n-1, m) int_0^1 G(t) Q^{NL_t}_m Q^{NR_t}_{n-1-m}
                                   |L(t)|^m |R(t)|^{n-1-m} dt.
@@ -10,17 +9,14 @@ the subgraph above it, R(t) the part above the chord from (t, G(t)) to
 vertical-line-preserving affine maps onto the unit-area standard position.
 
 The triangle (and its mirror) and the quadratic top have closed forms, as
-has n = 2.  Every other top is integrated over the knot panels of G, with
-exact rational splits at the nodes, by one Gauss-Legendre rule of
-n // 2 + 1 nodes: on each panel the integrand is a polynomial of degree
-<= n (proved in q_decomp), so the rule is exact up to rounding.  A
-one-segment top splits into a mirrored triangle and a triangle, so its
-recursion stops one level down.
+has n = 2.  For every other piecewise-linear top, |L|^m Q_m(NL_t) and its
+right counterpart are polynomials on each knot panel, found in Fractions by
+one sweep over the panels from each end (proved in q_decomp); so Q_n comes
+out exact, in time polynomial in n and linear in the number of segments.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -31,7 +27,6 @@ from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
                            q2_exact_subprism)
 
 DEFAULT_BUDGET = 200_000
-MAX_SEGMENTS = 64
 
 
 @dataclass(frozen=True)
@@ -46,11 +41,12 @@ class NormalizedSplit:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float          # NaN when exhausted
-    error: float          # 0: every panel rule is exact; NaN when exhausted
-    evaluations: int      # integrand calls at every level of the recursion
+    value: float          # the float of exact; NaN when exhausted
+    error: float          # 0, as the value is exact; NaN when exhausted
+    evaluations: int      # polynomial states the sweep solves; 0 if exhausted
     exhausted: bool
     wall_ms: float
+    exact: Fraction | None      # None when exhausted
 
 
 def _chord_masses(G: PiecewiseLinearTop, t: Fraction):
@@ -97,132 +93,140 @@ def split(G: PiecewiseLinearTop, t) -> NormalizedSplit:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre panel quadrature
+# The chord sweep
 
-@functools.cache
-def _gauss_rule(k: int) -> tuple:
-    """(node, weight) pairs of the k-node Gauss-Legendre rule on [-1, 1],
-    exact to degree 2k - 1, by Newton's method on P_k from Tricomi's root
-    estimates (importing numpy.polynomial costs a run about 1 MB)."""
-    rule = []
-    for i in range(k):
-        x = math.cos(math.pi * (i + 0.75) / (k + 0.5))
-        for _ in range(8):
-            p0, p1 = 1.0, x                 # P_{j-1}(x), P_j(x)
-            for j in range(2, k + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = k * (x * p1 - p0) / (x * x - 1)        # P_k'(x)
-            x -= p1 / dp
-        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
-    return tuple(rule)
+def _sweep(knots, n: int) -> list:
+    """For each knot panel [x0, x0 + h], left to right: the list of h^i/i!,
+    i <= n + 1, and for each m < n the coefficients c of
+    W_m^{0,0}(x0 + s) = sum_i c_i s^i/i! (see q_decomp)."""
+    # V[k][j, l] = W_k^{j,l} at the panel's start, l-major so that each
+    # state follows those it needs
+    V = [{(j, l): knots[0][1] ** j if k == l == 0 else 0
+          for l in range(n - k) for j in range(n - k - l)} for k in range(n)]
+    panels, slope = [], None
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        h, new = x1 - x0, (y1 - y0) / (x1 - x0)
+        if slope is not None:
+            neg = [(slope - new) ** p for p in range(n)]      # (-Delta)^p
+            V = [{(j, l): sum(math.comb(j, i) * neg[j - i] * Vk[i, l + j - i]
+                              for i in range(j + 1)) for (j, l) in Vk}
+                 for Vk in V]
+        slope = new
+        H = [h ** i / math.factorial(i) for i in range(n + 2)]
+        prev, polys = {}, []
+        for k, Vk in enumerate(V):
+            # with W = sum_i c_i s^i/i!, the panel equation reads
+            # c_{i+1} = alpha c_i[W_{k-1}^{j+1,l}] + l c_i[W_k^{j,l-1}];
+            # zeros, most coefficients on a sweep's first panel, are skipped
+            cur = {}
+            for (j, l), v in Vk.items():
+                none = [0] * (k + l)
+                A, B = prev.get((j + 1, l), none), cur.get((j, l - 1), none)
+                alpha = Fraction(k, (j + l + 1) * (j + l + 2))
+                cur[j, l] = [v] + [(alpha * a if a else 0) + (l * b if b else 0)
+                                   for a, b in zip(A, B)]
+            V[k] = {s: sum(x * y for x, y in zip(c, H) if x)
+                    for s, c in cur.items()}
+            polys.append(cur[0, 0])
+            prev = cur
+        panels.append((H, polys))
+    return panels
 
 
-class _Exhausted(Exception):
-    """Raised by the integrand call that would pass the budget."""
+def _triangle(G: TopFunction) -> bool:
+    return (isinstance(G, PiecewiseLinearTop) and len(G.knots) == 2
+            and 0 in (G.knots[0][1], G.knots[1][1]))       # or its mirror
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self):
-        if self.used >= self.limit:
-            raise _Exhausted
-        self.used += 1
+def q_exact(G: TopFunction, n: int) -> Fraction:
+    """Q_n of a top function, exactly: a closed form, or the chord sweep
+    proved in q_decomp."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n <= 1:
+        return Fraction(1)
+    if isinstance(G, QuadraticTop):
+        return p_closed(n)
+    if _triangle(G) or n == 2:
+        return t_closed(n) if n > 2 else q2_exact_subprism(G)
+    ks = G.knots
+    left = _sweep(ks, n)
+    right = _sweep(tuple((1 - x, y) for x, y in reversed(ks)), n)[::-1]
+    total = Fraction(0)
+    for (x0, y0), (x1, y1), (H, lw), (_, rw) in zip(ks, ks[1:], left, right):
+        # the right part's panel variable is h - s, G(x0 + s) =
+        # (y0 (h - s) + y1 s)/h, and int_0^h s^a/a! (h - s)^b/b! ds =
+        # h^{a+b+1}/(a+b+1)! (the Beta integral)
+        total += sum(
+            math.comb(n - 1, m) * ca * db * H[a + b + 2]
+            * (y0 * (b + 1) + y1 * (a + 1))
+            for m in range(n) for a, ca in enumerate(lw[m]) if ca
+            for b, db in enumerate(rw[n - 1 - m]) if db) / (x1 - x0)
+    return total
 
 
 def q_decomp(G: TopFunction, n: int, tol: float = 1e-9,
              budget: int = DEFAULT_BUDGET) -> QuadratureResult:
-    """Q_n of a top function via the chord-decomposition recursion.
+    """Q_n of a top function via the chord decomposition, with its cost.
 
-    The triangle and its mirror, the quadratic top, and n = 2 dispatch to
-    closed forms.  Every other piecewise-linear top is integrated over the
-    knot panels of G by the Gauss-Legendre rule of n // 2 + 1 nodes,
-    recursing on the split parts at each node (exponential in n; intended
-    for small n); a one-segment top takes just its n // 2 + 1 nodes, as
-    its split parts are triangles.  Each integrand call, at any level,
-    spends one unit of budget; the call that would pass it stops the run,
-    and the result is flagged exhausted, with value NaN and evaluations
-    <= budget.
+    The value is q_exact's.  The triangle and its mirror, the quadratic top
+    and n = 2 take closed forms and cost 0 evaluations.  Every other
+    piecewise-linear top runs the chord sweep below over its C(n + 2, 3)
+    polynomial states per knot panel and side: `evaluations` =
+    2 (panels) C(n + 2, 3) is known before any work, and a run whose count
+    passes `budget` does none; it is flagged exhausted, with value NaN and
+    evaluations 0.
 
-    The rule is exact to degree 2 (n // 2) + 1 >= n, and on a panel the
-    integrand is a polynomial of degree <= n, so the value is exact up to
-    rounding.  On a panel G(t) = a + b t.  Let l be the line y = a + b x,
-    E_t = (t, G(t)) and, for q in L(t), w(q) = a + b q_x - q_y; as G is
-    concave, L(t) lies under l, so w >= 0.  Let W_k^j(t) be the integral
-    over L(t)^k of 1[the k points are in convex position with the chord
-    O E_t] w(q)^j, where q is the point next to E_t on the hull (q = O
-    when k = 0).  Then |L|^k Q_k(NL_t) = W_k^0, W_0^j = a^j and on the
-    panel
+    The sweep.  On a knot panel G(t) = a + b t; let l be the line
+    y = a + b x, E_t = (t, G(t)) and w(q) = a + b q_x - q_y, which is >= 0
+    on L(t) as G is concave.  For k points in L(t) let q be the one next to
+    E_t on their hull (q = O when k = 0), and let W_k^{j,l}(t) be the
+    integral over L(t)^k of 1[the k points are in convex position with the
+    chord O E_t] w(q)^j (t - q_x)^l.  So W_m^{0,0} = |L|^m Q_m(NL_t).
+    (1) On a panel,
 
-        dW_k^j/dt = k / ((j + 1)(j + 2)) W_{k-1}^{j+1}.
+        dW_k^{j,l}/dt = k / ((j + l + 1)(j + l + 2)) W_{k-1}^{j+1,l}
+                        + l W_k^{j,l-1}.
 
-    Move E_t to E_{t+dt} along l.  (i) No configuration is lost: the chord
-    drops, and E moves outward along l.  (ii) One is gained when a new
-    point p enters the hull edge q E_t: p lies in the sliver (q, E_t,
-    E_{t+dt}) at fraction mu along q -> E_t, with area element
-    mu |det(E_t - q, (1, b))| dmu dt = mu w(q) dmu dt and weight
-    w(p) = (1 - mu) w(q), as w(E_t) = 0; int_0^1 mu (1 - mu)^j dmu =
-    1/((j + 1)(j + 2)), and any of the k points can be p.  (iii) Points in
-    the sliver between the old and new chords add only O(dt^2) when
-    k >= 2, since such a point lies in the triangle of O, E and any other
-    point; at k = 1 they are case (ii) with q = O.  By induction on k,
-    W_k^j has degree <= k.  So |L|^m Q_m(NL) has degree <= m, likewise
-    |R|^{n-1-m} Q_{n-1-m}(NR) in 1 - t, and with G linear the integrand
-    has degree <= n.  k = 1 gives d|L|/dt = a/2 = (G - t G')/2, and k = 2
-    a constant second derivative a^2/6: at n = 3 the integrand is a cubic.
+    Move E_t to E_{t+dt} along l.  A configuration keeps q and w(q), while
+    (t - q_x)^l gains l (t - q_x)^{l-1} dt: the second term.  (i) None is
+    lost: the chord drops, and E moves outward along l.  (ii) One is gained
+    when a new point p enters the hull edge q E_t: p lies in the sliver
+    (q, E_t, E_{t+dt}) at fraction mu along q -> E_t, with area element
+    mu |det(E_t - q, (1, b))| dmu dt = mu w(q) dmu dt, and becomes E_t's
+    neighbour with w(p) = (1 - mu) w(q), as w(E_t) = 0, and
+    t - p_x = (1 - mu)(t - q_x); int_0^1 mu (1 - mu)^{j+l} dmu =
+    1/((j + l + 1)(j + l + 2)), and any of the k points can be p: the first
+    term.  (iii) Points in the sliver between the old and new chords add
+    only O(dt^2) when k >= 2, as such a point lies in the triangle of O, E
+    and any other point; at k = 1 they are case (ii) with q = O.
+    (2) At a knot t1 where the slope changes by Delta, the next line meets
+    l at t1: each W is continuous and w becomes w - Delta (t1 - q_x), so
+    W^{j,l} becomes sum_i C(j, i) (-Delta)^{j-i} W^{i,l+j-i}.
+    (3) At t = 0, L is empty: W_0^{j,l} = w(O)^j t^l = G(0)^j t^l and
+    W_k = 0 for k >= 1.
+    Closure: (1) and (2) never raise k + j + l, so the C(n + 2, 3) states
+    with k + j + l <= n - 1 are a closed system.  In (1) a state needs only
+    states of smaller k or, at equal k, smaller l, so taking k ascending,
+    then l ascending, each is its start value plus the integral of states
+    already solved: by induction a polynomial of degree <= k + l on each
+    panel, with rational coefficients.  The mirror x -> 1 - x takes R(t)
+    to L(1 - t) of the mirrored top, whose sweep gives |R|^k Q_k(NR_t).  So
+    the integrand has degree <= n on each panel, and its exact integral is
+    Q_n.  At k = 1, (1) gives d|L|/dt = a/2 = (G - t G')/2, and at k = 2 a
+    constant second derivative a^2/6: at n = 3 the integrand is a cubic.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # tol is unused, as every rule is exact to rounding; it is still
-    # accepted and checked because perfbench/workloads.py and acceptance
-    # criterion 5 pass it
+    # tol is unused, as the value is exact; it is still accepted and
+    # checked because perfbench/workloads.py and acceptance criterion 5
+    # pass it
     if tol <= 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
-    b = _Budget(budget)
-    try:
-        val, err, exhausted = _q_decomp(G, n, b), 0.0, False
-    except _Exhausted:
-        val, err, exhausted = math.nan, math.nan, True
-    return QuadratureResult(value=val, error=err, evaluations=b.used,
-                            exhausted=exhausted,
-                            wall_ms=1e3 * (time.perf_counter() - t0))
-
-
-def _q_decomp(G: TopFunction, n: int, budget: _Budget) -> float:
-    if n <= 1:
-        return 1.0
-    if isinstance(G, QuadraticTop):
-        return float(p_closed(n))
-    if len(G.knots) == 2 and 0 in (G.knots[0][1], G.knots[1][1]):
-        return float(t_closed(n))           # the triangle or its mirror
-    if n == 2:
-        return float(q2_exact_subprism(G))
-    if len(G.knots) > MAX_SEGMENTS:
-        raise ValueError(f"quadrature at n >= 3 takes at most "
-                         f"{MAX_SEGMENTS - 1} segments")
-
-    def integrand(t: float) -> float:
-        budget.spend()
-        tq = Fraction(t)        # float -> exact dyadic rational
-        sp = split(G, tq)
-        total = 0.0
-        for m in range(n):
-            lterm = float(sp.left_mass) ** m
-            rterm = float(sp.right_mass) ** (n - 1 - m)
-            if lterm == 0.0 or rterm == 0.0:
-                continue
-            ql = _q_decomp(sp.left, m, budget)
-            qr = _q_decomp(sp.right, n - 1 - m, budget)
-            total += math.comb(n - 1, m) * ql * qr * lterm * rterm
-        return float(G.value(tq)) * total
-
-    rule = _gauss_rule(n // 2 + 1)
-    knots = [float(x) for (x, _) in G.knots]
-    value = 0.0
-    for lo, hi in zip(knots, knots[1:]):
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        value += half * sum(w * integrand(mid + half * x) for x, w in rule)
-    return value
+    cost = (0 if n <= 2 or isinstance(G, QuadraticTop) or _triangle(G)
+            else 2 * (len(G.knots) - 1) * math.comb(n + 2, 3))
+    exact = q_exact(G, n) if cost <= budget else None
+    return QuadratureResult(
+        value=math.nan if exact is None else float(exact),
+        error=math.nan if exact is None else 0.0,
+        evaluations=0 if exact is None else cost, exhausted=exact is None,
+        wall_ms=1e3 * (time.perf_counter() - t0), exact=exact)

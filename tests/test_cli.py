@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,8 +163,9 @@ def test_quadrature(capsys):
     d = json.loads(out)
     row = d["rows"][0]
     assert {"value", "error", "evaluations", "exhausted",
-            "wall_ms"} == set(row)
+            "wall_ms", "num", "den"} == set(row)
     assert row["value"] == pytest.approx(5 / 36)
+    assert (row["num"], row["den"]) == ("5", "36")
 
 
 def test_quadrature_past_its_budget_exits_1(capsys):
@@ -171,6 +173,16 @@ def test_quadrature_past_its_budget_exits_1(capsys):
                          "--n", "4", "--budget", "10")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "--budget 10" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_quadrature_refuses_an_over_budget_run_before_any_work(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "quadrature", "--top", "mountain2d",
+                         "--n", "200")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--budget" in err
     assert len(err.splitlines()) == 1
 
 

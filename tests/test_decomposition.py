@@ -1,4 +1,4 @@
-"""Chord decomposition and the recursive quadrature evaluator."""
+"""Chord decomposition and the exact chord sweep."""
 
 import functools
 import math
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from floorconvex import decomposition
 from floorconvex import sequences as sq
-from floorconvex.decomposition import NormalizedSplit, q_decomp, split
+from floorconvex.decomposition import (NormalizedSplit, q_decomp, q_exact,
+                                       split)
 from floorconvex.topfunctions import (PiecewiseLinearTop, QuadraticTop,
                                       constant_top, mountain_top,
                                       q2_exact_subprism, random_concave_top,
@@ -209,13 +210,16 @@ def test_q_decomp_on_one_segment_tops(n):
 
 @pytest.mark.parametrize("n", range(3, 16))
 def test_one_segment_top_costs_one_panel_of_evaluations(n):
-    # its splits are a mirrored triangle and a triangle, both closed forms
+    # one panel, swept from each end over the C(n + 2, 3) states
+    # k + j + l <= n - 1
     for G in (constant_top(), STRICT_TRAPEZOID):
-        assert q_decomp(G, n).evaluations == n // 2 + 1
-        short = q_decomp(G, n, budget=n // 2)
-        assert short.exhausted and short.evaluations == n // 2
+        cost = 2 * math.comb(n + 2, 3)
+        assert q_decomp(G, n).evaluations == cost
+        short = q_decomp(G, n, budget=cost - 1)
+        assert short.exhausted and short.evaluations == 0
     for G in (triangle_top(), MIRRORED_TRIANGLE):
-        assert not q_decomp(G, n, budget=0).exhausted
+        r = q_decomp(G, n, budget=0)
+        assert not r.exhausted and r.evaluations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +334,79 @@ def test_q_decomp_budget_bounds_the_work():
     G = PiecewiseLinearTop(((0, F(1, 2)), (F(1, 3), F(3, 2)),
                             (F(2, 3), F(4, 3)), (1, 0)))
     r = q_decomp(G, 4, budget=50)
-    assert r.exhausted and r.evaluations <= 50 and math.isnan(r.value)
-    # the trapezoid at n = 4 takes exactly 69 evaluations
-    assert not q_decomp(TRAPEZOID, 4, budget=69).exhausted
-    short = q_decomp(TRAPEZOID, 4, budget=68)
-    assert short.exhausted and short.evaluations == 68
+    assert r.exhausted and r.evaluations == 0 and math.isnan(r.value)
+    assert r.exact is None
+    # the trapezoid at n = 4 solves exactly 120 states
+    assert not q_decomp(TRAPEZOID, 4, budget=120).exhausted
+    short = q_decomp(TRAPEZOID, 4, budget=119)
+    assert short.exhausted and short.evaluations == 0
 
 
-def test_q_decomp_refuses_too_many_segments():
+def test_q_decomp_checks_its_budget_before_any_work():
+    # the count is known up front, so a hopeless run returns at once
+    r = q_decomp(TRAPEZOID, 10 ** 6)
+    assert r.exhausted and r.evaluations == 0 and r.wall_ms < 100
+
+
+def test_q_decomp_runs_a_70_segment_top_within_its_budget():
     knots = [(F(i, 70), F(i * (70 - i), 70 ** 2)) for i in range(71)]
-    with pytest.raises(ValueError, match="segments"):
-        q_decomp(PiecewiseLinearTop(tuple(knots)), 3)
+    G = PiecewiseLinearTop(tuple(knots))
+    cost = 2 * 70 * math.comb(5, 3)
+    r = q_decomp(G, 3, budget=cost)
+    assert not r.exhausted and r.evaluations == cost
+    assert sq.t_closed(3) < r.exact < sq.q_closed(3)
+    short = q_decomp(G, 3, budget=cost - 1)
+    assert short.exhausted and short.evaluations == 0
 
 
 def test_q_decomp_trapezoid_n4_evaluation_count():
     r = q_decomp(TRAPEZOID, 4, tol=1e-9)
-    assert r.evaluations == 69
+    assert r.evaluations == 2 * 3 * math.comb(6, 3) == 120
     again = q_decomp(TRAPEZOID, 4, tol=1e-9)
     assert again.evaluations == r.evaluations
     assert r.wall_ms > 0
+
+
+# ---------------------------------------------------------------------------
+# the exact chord sweep
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sweep_equals_exact_oracle(n):
+    rng = np.random.default_rng(70 + n)
+    tops = [TRAPEZOID, mountain_top(F(1, 3)), STRICT_TRAPEZOID]
+    tops += [_rational_top(rng, k) for k in (2, 3, 4)]
+    for G in tops:
+        assert q_exact(G, n) == _q_oracle(G, n), G
+
+
+def test_sweep_pins_the_trapezoid():
+    assert [q_exact(TRAPEZOID, n) for n in range(3, 7)] == [
+        F(41, 576), F(187, 23040), F(71, 115200), F(323, 9676800)]
+    r = q_decomp(TRAPEZOID, 6)
+    assert r.exact == F(323, 9676800) and r.value == 323 / 9676800
+
+
+def test_sweep_reproduces_closed_families():
+    # the square and the tents have no closed-form dispatch; a tent is a
+    # sheared triangle
+    for n in range(3, 8):
+        assert q_exact(constant_top(), n) == sq.q_closed(n)
+        for s in (F(1, 3), F(4, 5)):
+            assert q_exact(mountain_top(s), n) == sq.t_closed(n), (s, n)
+    assert q_exact(mountain_top(F(1, 3)), 12) == sq.t_closed(12)
+
+
+def test_sweep_stays_between_triangle_and_square_up_to_n8():
+    rng = np.random.default_rng(8)
+    tops = [TRAPEZOID, STRICT_TRAPEZOID] + [_rational_top(rng, k)
+                                            for k in (2, 3, 4, 5)]
+    for G in tops:
+        for n in range(2, 9):
+            assert sq.t_closed(n) <= q_exact(G, n) <= sq.q_closed(n), (G, n)
+
+
+def test_q_exact_input_validation():
+    with pytest.raises(ValueError):
+        q_exact(constant_top(), -1)
+    assert q_exact(QuadraticTop(), 4) == sq.p_closed(4)
+    assert q_exact(constant_top(), 1) == 1
