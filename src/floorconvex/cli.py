@@ -128,6 +128,12 @@ def cmd_estimate(args):
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     run = {"seed": seed, "workers": args.workers}
     kind = args.estimator
+    if args.body is None and kind in ("q", "no-floor", "q2-height"):
+        args.body = "tetrahedron"
+    elif args.body is not None and kind in ("beta1", "beta2", "fradius"):
+        raise ValueError(f"--estimator {kind} samples no body; drop --body")
+    if kind == "q2-height" and args.n != 2:
+        raise ValueError("--estimator q2-height estimates Q(2); drop --n")
     if kind == "q2-height":
         r = mc.estimate_Q2_height(load_body(args.body), args.samples, **run)
     elif kind in ("q", "no-floor"):
@@ -225,7 +231,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("estimate", help="Monte Carlo estimators")
-    sp.add_argument("--body", default="tetrahedron")
+    sp.add_argument("--body", help="the body of q, no-floor and q2-height "
+                    "(default tetrahedron); beta1, beta2 and fradius take none")
     sp.add_argument("--estimator", default="q",
                     choices=("q", "q2-height", "no-floor", "beta1", "beta2",
                              "fradius"))

@@ -133,22 +133,28 @@ def _sweep(knots, n: int) -> list:
     return panels
 
 
-def _triangle(G: TopFunction) -> bool:
-    return (isinstance(G, PiecewiseLinearTop) and len(G.knots) == 2
-            and 0 in (G.knots[0][1], G.knots[1][1]))       # or its mirror
-
-
-def q_exact(G: TopFunction, n: int) -> Fraction:
-    """Q_n of a top function, exactly: a closed form, or the chord sweep
-    proved in q_decomp."""
+def _closed_form(G: TopFunction, n: int) -> Fraction | None:
+    """Q_n of G by a closed form: n <= 2, the quadratic top, the triangle
+    and its mirror; None for a top that needs the chord sweep."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n <= 1:
         return Fraction(1)
     if isinstance(G, QuadraticTop):
         return p_closed(n)
-    if _triangle(G) or n == 2:
-        return t_closed(n) if n > 2 else q2_exact_subprism(G)
+    if n == 2:
+        return q2_exact_subprism(G)
+    if len(G.knots) == 2 and 0 in (G.knots[0][1], G.knots[1][1]):
+        return t_closed(n)
+    return None
+
+
+def q_exact(G: TopFunction, n: int) -> Fraction:
+    """Q_n of a top function, exactly: a closed form, or the chord sweep
+    proved in q_decomp."""
+    closed = _closed_form(G, n)
+    if closed is not None:
+        return closed
     ks = G.knots
     left = _sweep(ks, n)
     right = _sweep(tuple((1 - x, y) for x, y in reversed(ks)), n)[::-1]
@@ -222,9 +228,11 @@ def q_decomp(G: TopFunction, n: int, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
-    cost = (0 if n <= 2 or isinstance(G, QuadraticTop) or _triangle(G)
+    exact = _closed_form(G, n)
+    cost = (0 if exact is not None
             else 2 * (len(G.knots) - 1) * math.comb(n + 2, 3))
-    exact = q_exact(G, n) if cost <= budget else None
+    if exact is None and cost <= budget:
+        exact = q_exact(G, n)
     return QuadratureResult(
         value=math.nan if exact is None else float(exact),
         error=math.nan if exact is None else 0.0,

@@ -9,6 +9,7 @@ reproducible from the seed alone.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -85,17 +86,20 @@ class Report:
                 "records": [vars(r) for r in self.records]}
 
 
-def _finish(report: Report, t0: float) -> Report:
-    report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
+def _random_bodies(rng, trials: int):
+    """(body, label) of trials frustums, then trials // 2 random sub-prisms."""
+    for i in range(trials):
+        h = float(rng.uniform(0.05, 1.95))
+        d = 2 if i % 2 else 3
+        yield frustum(h, d), f"frustum h={h:.3f} d={d}"
+    for i in range(trials // 2):
+        yield SubPrism2D(random_concave_top(rng)), f"random 2D top {i}"
 
 
 # ---------------------------------------------------------------------------
 
-def suite_prism_bounds(trials: int = 100, seed: int = 0,
-                       samples: int = 0) -> Report:
+def suite_prism_bounds(trials: int = 100, seed: int = 0) -> Report:
     """q2_mountain(d) <= Q_K(2) <= q2_prism(d) for sub-prisms, exactly."""
-    t0 = time.perf_counter()
     rep = Report("prism_bounds", seed, {"trials": trials})
     rep.check_eq("triangle top attains the 2D lower bound 1/3",
                  q2_exact_subprism(triangle_top()), q2_mountain(2))
@@ -117,12 +121,11 @@ def suite_prism_bounds(trials: int = 100, seed: int = 0,
         ok = float(lo3) - 1e-12 <= q2 <= float(hi3) + 1e-12
         rep.add(f"frustum h={h:.3f} d=3: 1/2 <= Q(2) <= 2/3", q2, float(hi3),
                 min(q2 - float(lo3), float(hi3) - q2), ok)
-    return _finish(rep, t0)
+    return rep
 
 
-def suite_ccsf(trials: int = 10, seed: int = 0, samples: int = 0) -> Report:
+def suite_ccsf(trials: int = 10, seed: int = 0) -> Report:
     """Frustum family drives Q(2) to 1 as h -> 0; mountain bound holds."""
-    t0 = time.perf_counter()
     rep = Report("ccsf", seed, {"trials": trials})
     rep.check_le("frustum h=0.1 d=3: Q(2) >= 0.93", 0.93,
                  q2_exact(frustum(0.1, 3)), slack=1e-12)
@@ -137,13 +140,11 @@ def suite_ccsf(trials: int = 10, seed: int = 0, samples: int = 0) -> Report:
         rep.check_le(f"frustum h={h:.3f} d=3: Q(2) >= 1 - 2h/3",
                      1.0 - 2.0 * h / 3.0, q2, slack=1e-12)
         rep.check_le(f"frustum h={h:.3f} d=3: Q(2) < 1", q2, 1.0)
-    return _finish(rep, t0)
+    return rep
 
 
-def suite_dominance(trials: int = 100, seed: int = 0,
-                    samples: int = 0) -> Report:
+def suite_dominance(trials: int = 100, seed: int = 0) -> Report:
     """Below-level volume of any admissible body dominates the mountain's."""
-    t0 = time.perf_counter()
     rep = Report("dominance", seed,
                  {"trials": trials, "grid": DOMINANCE_GRID})
 
@@ -163,21 +164,14 @@ def suite_dominance(trials: int = 100, seed: int = 0,
                  1.0 - (2.0 / 3.0) ** 3, below_volume(prism3d(), 1.0))
     rep.check_eq("t=0 equality", below_volume(prism3d(), 0.0),
                  mountain_below(0.0, 3, 3.0))
-    rng = RngStream(seed, 2).generator()
-    for i in range(trials):
-        h = float(rng.uniform(0.05, 1.95))
-        d = 2 if i % 2 else 3
-        check(frustum(h, d), f"frustum h={h:.3f} d={d}")
-    for i in range(trials // 2):
-        check(SubPrism2D(random_concave_top(rng)), f"random 2D top {i}")
+    for body, label in _random_bodies(RngStream(seed, 2).generator(), trials):
+        check(body, label)
     check(mountain3d(), "mountain itself (equality)")
-    return _finish(rep, t0)
+    return rep
 
 
-def suite_layer_concavity(trials: int = 100, seed: int = 0,
-                          samples: int = 0) -> Report:
+def suite_layer_concavity(trials: int = 100, seed: int = 0) -> Report:
     """Midpoint concavity of L_K(t)^(1/(d-1)) along the height."""
-    t0 = time.perf_counter()
     rep = Report("layer_concavity", seed,
                  {"trials": trials, "grid": CONCAVITY_GRID})
 
@@ -195,20 +189,14 @@ def suite_layer_concavity(trials: int = 100, seed: int = 0,
 
     check(mountain3d(), "mountain d=3", expect_linear=True)
     check(prism3d(), "prism d=3", expect_linear=True)
-    rng = RngStream(seed, 3).generator()
-    for i in range(trials):
-        h = float(rng.uniform(0.05, 1.95))
-        d = 2 if i % 2 else 3
-        check(frustum(h, d), f"frustum h={h:.3f} d={d}", expect_linear=True)
-    for i in range(trials // 2):
-        check(SubPrism2D(random_concave_top(rng)), f"random 2D top {i}")
-    return _finish(rep, t0)
+    for body, label in _random_bodies(RngStream(seed, 3).generator(), trials):
+        check(body, label, expect_linear=not isinstance(body, SubPrism2D))
+    return rep
 
 
 def suite_tetra_sandwich(n_max: int = 4, samples: int = 500_000,
-                         seed: int = 0, trials: int = 0) -> Report:
+                         seed: int = 0) -> Report:
     """ell_n <= Q_T(n) <= u_n, and Y_n <= Q_M(n) over assorted floors."""
-    t0 = time.perf_counter()
     rep = Report("tetra_sandwich", seed, {"n_max": n_max, "samples": samples})
     tet = builtin_body("tetrahedron")
     u = u_seq(n_max)
@@ -230,7 +218,7 @@ def suite_tetra_sandwich(n_max: int = 4, samples: int = 500_000,
             rep.check_le(f"mountain over {label} floor n={n}: Y_n <= Q",
                          float(y_closed(n)), r.estimate,
                          slack=SIGMA * r.std_error, flagged=r.low_power)
-    return _finish(rep, t0)
+    return rep
 
 
 def w_formula(a: float, h: float) -> float:
@@ -245,7 +233,6 @@ def suite_w_formula(trials: int = 50, seed: int = 0,
                     samples: int = 100_000) -> Report:
     """MC mass of the zone {y >= h, left of the chord (1,0)-(a,h)} under the
     mountain chain density, against the closed form W(a, h)."""
-    t0 = time.perf_counter()
     rep = Report("w_formula", seed, {"trials": trials, "samples": samples})
     rep.check_eq("W(1/2, 1) = 1/12", w_formula(0.5, 1.0), 1.0 / 12.0)
     rep.check_eq("W(0, h) = 0", w_formula(0.0, 2.0), 0.0)
@@ -261,13 +248,11 @@ def suite_w_formula(trials: int = 50, seed: int = 0,
         se = math.sqrt(max(w * (1 - w), 1e-12) / samples)
         rep.check_eq(f"zone mass a={a:.3f} h={h:.3f}", k / samples, w,
                      tol=SIGMA * se, flagged=k < mc.LOW_POWER_SUCCESSES)
-    return _finish(rep, t0)
+    return rep
 
 
-def suite_mountain_mixture(trials: int = 100, seed: int = 0,
-                           samples: int = 0) -> Report:
+def suite_mountain_mixture(trials: int = 100, seed: int = 0) -> Report:
     """Tent-mixture round-trip of concave tops, and int G^2 <= 4/3."""
-    t0 = time.perf_counter()
     rep = Report("mountain_mixture", seed, {"trials": trials})
     rep.check_le("constant top: int G^2 = 1 <= 4/3", 1.0, 4.0 / 3.0)
     rep.check_eq("triangle top attains int G^2 = 4/3",
@@ -286,17 +271,15 @@ def suite_mountain_mixture(trials: int = 100, seed: int = 0,
                 1e-12 - float(err), err <= Fraction(1, 10 ** 12))
         rep.check_le(f"random top {i}: int G^2 <= 4/3",
                      float(G.integral_sq()), 4.0 / 3.0, slack=1e-12)
-    return _finish(rep, t0)
+    return rep
 
 
-def suite_conjecture(trials: int = 10, seed: int = 0,
-                     samples: int = 0) -> Report:
+def suite_conjecture(trials: int = 10, seed: int = 0) -> Report:
     """Non-gating exploration: is t_n <= Q^G_n <= q_n for concave tops?
     Compared exactly, in Fractions, for n = 3..6.
 
     Violations are reported as findings, never as failures.
     """
-    t0 = time.perf_counter()
     rep = Report("conjecture", seed, {"trials": trials})
     rng = RngStream(seed, 6).generator()
     for i in range(trials):
@@ -309,7 +292,7 @@ def suite_conjecture(trials: int = 10, seed: int = 0,
                 rep.findings.append(
                     f"top {i} n={n}: Q={float(q):.8f} outside "
                     f"[{float(lo):.8f}, {float(hi):.8f}]")
-    return _finish(rep, t0)
+    return rep
 
 
 SUITES = {
@@ -326,6 +309,8 @@ SUITES = {
 
 def run_suites(names, seed: int = 0, trials: int | None = None,
                samples: int | None = None) -> list[Report]:
+    """Run the named suites, each timed into its Report.wall_ms; trials and
+    samples, when given, go to the suites whose signature names them."""
     if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
     if trials is not None and trials < 0:
@@ -336,10 +321,10 @@ def run_suites(names, seed: int = 0, trials: int | None = None,
             raise ValueError(f"unknown suite {name!r}; known: "
                              f"{', '.join(sorted(SUITES))}")
         fn = SUITES[name]
-        kwargs = {"seed": seed}
-        if trials is not None:
-            kwargs["trials"] = trials
-        if samples is not None:
-            kwargs["samples"] = samples
-        reports.append(fn(**kwargs))
+        kwargs = {k: v for k, v in (("trials", trials), ("samples", samples))
+                  if v is not None and k in inspect.signature(fn).parameters}
+        t0 = time.perf_counter()
+        rep = fn(seed=seed, **kwargs)
+        rep.wall_ms = (time.perf_counter() - t0) * 1000
+        reports.append(rep)
     return reports

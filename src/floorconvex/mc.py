@@ -2,12 +2,12 @@
 
 The batch predicates run in floating point with a certified margin; trials
 whose verdict falls inside the margin are re-checked with the exact rational
-predicates.  Work is split into fixed-size chunks, each with its own random
-stream keyed by (seed, chunk index), and per-chunk tallies are merged in
-chunk order, so results are bit-identical for any worker count.  Within a
-chunk the predicates run on row slices of _SLICE; each slice takes its
-margin from its own rows, so the success counts do not depend on the
-slicing.
+predicates.  Every estimator runs on one chunked runner, _run_binomial: work
+is split into fixed-size chunks, each with its own random stream keyed by
+(seed, chunk index), and per-chunk tallies are merged in chunk order, so
+results are bit-identical for any worker count.  Within a chunk the
+predicates run on row slices of _SLICE; each slice takes its margin from its
+own rows, so the success counts do not depend on the slicing.
 """
 
 from __future__ import annotations
@@ -194,17 +194,14 @@ def _centroid_verdicts(pts):
     strictly convex position iff none is at c, no two lie on one ray from
     c, and the walk in angular order turns strictly left at every point.
 
-    The sorted coordinates are held one contiguous array per point, as in
-    _walk_verdicts; each step and turn is a cross product of differences of
-    stored coordinates, within the margin of convex_position_verdicts_2d.
+    Each step and turn is a cross product of differences of stored
+    coordinates, within the margin of convex_position_verdicts_2d.
     """
-    rows, n, _ = pts.shape
+    n = pts.shape[1]
     center = pts.mean(axis=1)
-    order = np.argsort(np.arctan2(pts[..., 1] - center[:, 1:],
-                                  pts[..., 0] - center[:, :1]), axis=1)
-    flat = 2 * (order + n * np.arange(rows)[:, None]).T
-    x = pts.reshape(-1).take(flat)      # x[j]: each row's j-th point in order
-    y = pts.reshape(-1).take(flat + 1)
+    x, y = _columns(pts, np.argsort(np.arctan2(pts[..., 1] - center[:, 1:],
+                                               pts[..., 0] - center[:, :1]),
+                                    axis=1))
     dx = [b - a for a, b in zip([x[-1], *x], [*x, x[0]])]
     dy = [b - a for a, b in zip([y[-1], *y], [*y, y[0]])]
     margin = _margin(np.abs(pts).max())
@@ -214,6 +211,15 @@ def _centroid_verdicts(pts):
     wraps = (below[np.r_[1:n, 0]] & ~below).sum(axis=0)
     out[(_min_cross([*ux, ux[0]], [*uy, uy[0]]) <= margin) | (wraps != 1)] = -1
     return out
+
+
+def _columns(pts, order):
+    """Per coordinate, an (n, rows) array whose j-th row holds each row's
+    j-th point in order (rows, n), contiguous, so that each later pass over
+    a point is elementwise over the rows."""
+    rows, n, dim = pts.shape
+    flat = dim * (order + n * np.arange(rows)[:, None]).T
+    return [pts.reshape(-1).take(flat + k) for k in range(dim)]
 
 
 def _margin(s: float) -> float:
@@ -242,13 +248,9 @@ def _walk_verdicts(pts, key, anchors, hub=None):
     key (stable) and anchors[1] when given: the smallest turn at a sample
     point, certified.  With hub, the steps (p - (hub, 0)) x (q - (hub, 0))
     of consecutive sorted points must be certified positive too, else the
-    row is -1.  The sorted coordinates are held one contiguous array per
-    point, so each turn is an elementwise pass over the rows."""
+    row is -1."""
     rows, n = key.shape
-    order = np.argsort(key, axis=1, kind="stable")
-    flat = 2 * (order + n * np.arange(rows)[:, None]).T
-    x = pts.reshape(-1).take(flat)      # x[j]: each row's j-th sorted point
-    y = pts.reshape(-1).take(flat + 1)
+    x, y = _columns(pts, np.argsort(key, axis=1, kind="stable"))
     first, *last = anchors
     cx = [first[0], *x, *(a[0] for a in last)]
     cy = [first[1], *y, *(a[1] for a in last)]
@@ -388,11 +390,10 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     # all relative to q0, the floor's heights exactly 0
     f = [(fx - qx, fy - qy) for fx, fy, _ in rest]
     kf = len(f)
-    order = np.argsort(pts[..., 2], axis=1, kind="stable")
-    idx = 3 * (order + n * np.arange(rows)[:, None]).T
-    # rel[k][j]: coordinate k of each row's j-th lowest point, contiguous
-    rel = [pts.reshape(-1).take(idx + k) - q for k, q in ((0, qx), (1, qy))]
-    rel.append(pts.reshape(-1).take(idx + 2))
+    # rel[k][j]: coordinate k of each row's j-th lowest point
+    rel = _columns(pts, np.argsort(pts[..., 2], axis=1, kind="stable"))
+    rel[0] -= qx
+    rel[1] -= qy
     # det[f_a, f_b, (0, 0, 1)] for the floor pairs of the fan
     fz = {(a, b): f[a][0] * f[b][1] - f[a][1] * f[b][0]
           for a, b, _ in fan if b < kf}
@@ -476,20 +477,18 @@ def _resolve(pts: np.ndarray, verdict: np.ndarray, exact, *floor) -> int:
 # ---------------------------------------------------------------------------
 # Chunked execution
 
-def _check_budget(n_samples: int, workers: int, chunk_size: int) -> None:
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-
-
-def _map_chunks(chunk_fn, n_samples: int, seed: int, workers: int,
-                chunk_size: int) -> list:
-    """chunk_fn(rng, size) on each chunk of at most chunk_size trials, chunk i
-    drawing from RngStream(seed, i); results come back in chunk order."""
-    jobs = list(enumerate(range(0, n_samples, chunk_size)))
+def _run_binomial(chunk_fn, n_samples: int, seed: int, workers: int,
+                  chunk_size: int):
+    """chunk_fn(rng, size) on each chunk of at most chunk_size trials, chunk
+    i drawing from RngStream(seed, i), returns (*tallies, sample_s,
+    predicate_s, exact_s, ambiguous); each entry is summed in chunk order.
+    Returns the summed tallies and the RunStats; None runs no chunk."""
+    for name, count in (("n_samples", n_samples), ("workers", workers),
+                        ("chunk_size", chunk_size)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
+    jobs = [] if chunk_fn is None else list(
+        enumerate(range(0, n_samples, chunk_size)))
 
     def run(job):
         i, start = job
@@ -498,21 +497,16 @@ def _map_chunks(chunk_fn, n_samples: int, seed: int, workers: int,
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(run, jobs))
-    return [run(j) for j in jobs]
-
-
-def _run_binomial(chunk_fn, n_samples: int, seed: int, workers: int,
-                  chunk_size: int, t0: float) -> EstimateResult:
-    """chunk_fn returns (successes, sample_s, predicate_s, exact_s,
-    ambiguous) per chunk."""
-    parts = _map_chunks(chunk_fn, n_samples, seed, workers, chunk_size)
-    k, sample_s, predicate_s, exact_s, ambiguous = map(sum, zip(*parts))
+            parts = list(ex.map(run, jobs))
+    else:
+        parts = [run(j) for j in jobs]
+    *tallies, sample_s, predicate_s, exact_s, ambiguous = (
+        map(sum, zip(*parts)) if parts else (0.0, 0.0, 0.0, 0))
     stats = RunStats(sample_ms=1e3 * sample_s, predicate_ms=1e3 * predicate_s,
                      exact_ms=1e3 * exact_s, n_ambiguous=ambiguous,
                      n_chunks=len(parts), chunk_size=chunk_size,
                      workers=workers)
-    return _binomial_result(k, n_samples, seed, t0, stats)
+    return tallies, stats
 
 
 def _estimate_convex(sample, n: int, always: int, verdicts, exact,
@@ -521,15 +515,10 @@ def _estimate_convex(sample, n: int, always: int, verdicts, exact,
     """Chance that n points drawn by sample(rng, count) pass the convex-position
     test: verdicts(pts, *floor) on each slice of _SLICE rows of a (size, n,
     dim) chunk, with exact(points, *floor) settling its ambiguous trials.
-    n <= always always passes; n < 0 is a ValueError."""
+    n <= always always passes, without a chunk; n < 0 is a ValueError."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
-    if n <= always:
-        return _binomial_result(n_samples, n_samples, seed, t0,
-                                RunStats(0.0, 0.0, 0.0, 0, 0, chunk_size,
-                                         workers))
 
     def chunk(rng, size):
         t = [time.perf_counter()]
@@ -544,7 +533,11 @@ def _estimate_convex(sample, n: int, always: int, verdicts, exact,
         return (k, t[1] - t[0], t[2] - t[1], t[3] - t[2],
                 int(np.count_nonzero(v == -1)))
 
-    return _run_binomial(chunk, n_samples, seed, workers, chunk_size, t0)
+    trivial = n <= always
+    tallies, stats = _run_binomial(None if trivial else chunk, n_samples,
+                                   seed, workers, chunk_size)
+    k = n_samples if trivial else tallies[0]
+    return _binomial_result(k, n_samples, seed, t0, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -581,24 +574,22 @@ def estimate_Q2_height(body: BodyWithFloor, n_samples: int, seed: int = 0,
                        chunk_size: int = DEFAULT_CHUNK) -> EstimateResult:
     """Q(2) via the cone identity of bodies.q2_exact, with E[height]
     estimated from sampled heights."""
-    _check_budget(n_samples, workers, chunk_size)
     t0 = time.perf_counter()
     coef = 2.0 * body.floor_vol / body.dimension
 
     def chunk(rng, size):
         t = time.perf_counter()
         h = sample_heights(body, rng, size)
-        return float(h.sum()), float((h * h).sum()), time.perf_counter() - t
+        return (float(h.sum()), float((h * h).sum()),
+                time.perf_counter() - t, 0.0, 0.0, 0)
 
-    parts = _map_chunks(chunk, n_samples, seed, workers, chunk_size)
-    s1, s2, sample_s = map(sum, zip(*parts))
+    (s1, s2), stats = _run_binomial(chunk, n_samples, seed, workers,
+                                    chunk_size)
     mean = s1 / n_samples
     var = max(s2 / n_samples - mean * mean, 0.0)
     est = 1.0 - coef * mean
     se = coef * math.sqrt(var / n_samples)
     z = 1.959963984540054
-    stats = RunStats(1e3 * sample_s, 0.0, 0.0, 0, len(parts), chunk_size,
-                     workers)
     return EstimateResult(estimate=est, std_error=se, ci_low=est - z * se,
                           ci_high=est + z * se, n_samples=n_samples, seed=seed,
                           wall_ms=(time.perf_counter() - t0) * 1000,

@@ -9,6 +9,7 @@ piecewise-linear profiles.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +80,7 @@ class PiecewiseLinearTop:
         return out
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(x, *self._float_knots())
+        return np.interp(x, *self._floats)
 
     def integral(self) -> Fraction:
         ks = self.knots
@@ -98,7 +99,7 @@ class PiecewiseLinearTop:
         """Length of the level set {x : G(x) >= t}, for a height or an array
         of heights; 1 at t <= 0, 0 above the top."""
         ts = np.asarray(t, dtype=float)
-        xs, ys = self._float_knots()
+        xs, ys = self._floats
         # the level set is [left, right]; on a concave top each height in
         # (0, max] crosses one rising and one falling segment, or an end
         left, right = np.zeros(ts.shape), np.ones(ts.shape)
@@ -114,7 +115,7 @@ class PiecewiseLinearTop:
     def area_above(self, t):
         """Integral of max(G - t, 0), for a height or an array of heights."""
         ts = np.asarray(t, dtype=float)
-        xs, ys = self._float_knots()
+        xs, ys = self._floats
         total = np.zeros(ts.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
@@ -126,17 +127,15 @@ class PiecewiseLinearTop:
                 total += np.where((a0 <= 0) & (a1 <= 0), 0.0, part)
         return total if total.ndim else float(total)
 
-    def _float_knots(self):
+    # built once per top, and not fields, so == and repr see only the knots
+    @functools.cached_property
+    def _floats(self):
         return (np.array([float(x) for x, _ in self.knots]),
                 np.array([float(y) for _, y in self.knots]))
 
-    def sample_x(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF for the density G, vectorized and closed-form: a draw
-        in a flat segment is r / y0, one in a sloped segment the root d of
-        y0 d + slope d^2 / 2 = r.  A one-segment top takes no search and
-        runs only its own formula; a top with both kinds of segment runs
-        both on every draw and picks, which is cheaper than splitting."""
-        xs, ys = self._float_knots()
+    @functools.cached_property
+    def _segments(self):
+        xs, ys = self._floats
         dx = np.diff(xs)
         cum = np.concatenate([[0.0], np.cumsum(dx * (ys[:-1] + ys[1:]) / 2)])
         cum[-1] = 1.0
@@ -146,11 +145,20 @@ class PiecewiseLinearTop:
         # root stays finite) and the divisor of the flat formula
         seg = np.array([xs[:-1], ys[:-1], np.where(flat, 1.0, slope),
                         np.where(ys[:-1] > 0, ys[:-1], 1.0)])
-        if len(dx) == 1:
+        return cum, flat, seg
+
+    def sample_x(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF for the density G, vectorized and closed-form: a draw
+        in a flat segment is r / y0, one in a sloped segment the root d of
+        y0 d + slope d^2 / 2 = r.  A one-segment top takes no search and
+        runs only its own formula; a top with both kinds of segment runs
+        both on every draw and picks, which is cheaper than splitting."""
+        cum, flat, seg = self._segments
+        if len(flat) == 1:
             x0, y0, s, div = seg[:, 0]
             d = u / div if flat[0] else _sloped_root(u, y0, s)
             return np.clip(x0 + d, 0.0, 1.0)
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(dx) - 1)
+        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(flat) - 1)
         r = u - cum[idx]
         x0, y0, s, div = seg.take(idx, axis=1)
         d = _sloped_root(r, y0, s)

@@ -157,6 +157,39 @@ def test_estimate_counts_below_one_exit_1(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, says", [
+    (("--estimator", "beta1", "--body", "square"), "--body"),
+    (("--estimator", "beta2", "--body", "prism3d"), "--body"),
+    (("--estimator", "fradius", "--body", "mountain3d"), "--body"),
+    (("--estimator", "q2-height", "--n", "5"), "--n"),
+    (("--estimator", "q2-height", "--body", "square", "--n", "3"), "--n"),
+    # the chain estimators' own n check, reached only without a --body
+    *[(("--estimator", e, "--n", "-3"), "n must be >= 0")
+      for e in ("beta1", "beta2", "fradius")],
+])
+def test_estimate_refusals_exit_1(capsys, argv, says):
+    code, out, err = run(capsys, "estimate", "--samples", "100", "--seed", "1",
+                         *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert says in err
+
+
+@pytest.mark.parametrize("argv, body", [
+    (("--estimator", "beta2", "--n", "3"), None),
+    (("--estimator", "fradius", "--n", "3"), None),
+    (("--estimator", "q2-height",), "tetrahedron"),
+    (("--n", "3"), "tetrahedron"),
+    (("--estimator", "q2-height", "--body", "square", "--n", "2"), "square"),
+])
+def test_estimate_reports_the_body_it_samples(capsys, argv, body):
+    code, out, _ = run(capsys, "estimate", "--samples", "100", "--seed", "1",
+                       *argv)
+    assert code == 0
+    d = json.loads(out)
+    assert d["body"] == body and d["manifest"]["flags"]["body"] == body
+
+
 def test_quadrature(capsys):
     code, out, _ = run(capsys, "quadrature", "--top", "square", "--n", "3")
     assert code == 0

@@ -17,7 +17,7 @@ def test_all_suites_pass_at_small_scale():
 
 
 def test_statistical_suites_pass():
-    for name, kwargs in [("ccsf", {"trials": 3, "samples": 100_000}),
+    for name, kwargs in [("ccsf", {"trials": 3}),
                          ("w_formula", {"trials": 10, "samples": 50_000}),
                          ("tetra_sandwich", {"n_max": 3, "samples": 150_000})]:
         rep = harness.SUITES[name](seed=9, **kwargs)

@@ -504,6 +504,23 @@ def test_worker_count_bit_determinism():
     assert h1.estimate == h4.estimate
 
 
+# float.hex of estimate_Q2_height's estimate and std_error at seed 7, 120k
+# samples in chunks of 50k, recorded before the height estimator moved onto
+# the shared chunk runner
+Q2_HEIGHT_PINNED = [("square", "0x1.0003fb1481660p-1", "0x1.b46a8bebf6250p-11"),
+                    ("mountain3d", "0x1.fed2a2f8791f0p-2",
+                     "0x1.260afe2c31621p-10")]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name,estimate,std_error", Q2_HEIGHT_PINNED)
+def test_q2_height_pinned(name, estimate, std_error, workers):
+    r = mc.estimate_Q2_height(builtin_body(name), 120_000, seed=7,
+                              workers=workers, chunk_size=50_000)
+    assert (r.estimate.hex(), r.std_error.hex()) == (estimate, std_error)
+    assert r.stats.n_chunks == 3
+
+
 # n_success of estimate_Q on the 3D benchmark cases, recorded with the earlier
 # predicate that tested every 4-subset of every trial
 MC3D_PINNED = [("tetrahedron", 3, 8775), ("tetrahedron", 4, 2369),
