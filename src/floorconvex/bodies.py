@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,8 +134,9 @@ def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
     The hull of the two bases has volume slightly below 1 in 3D, so the body
     is rescaled isotropically; the floor then has area slightly above 1.
     """
-    if not 0 < h < 2:
-        raise ValueError("frustum height must lie in (0, 2)")
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < 2:
+        raise ValueError(f"frustum height 'h' must be a real number in "
+                         f"(0, 2), not {h!r}")
     if d not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
     c = (2.0 / h - 1.0) ** (1.0 / (d - 1))
@@ -358,7 +360,7 @@ def load_descriptor(path: str, from_json):
         return from_json(d)
     except KeyError as exc:
         raise ValueError(f"descriptor {path} lacks the key {exc}") from None
-    except (TypeError, IndexError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValueError(f"descriptor {path} is malformed: {exc}") from None
 
 

@@ -1,4 +1,4 @@
-"""Robust low-level geometry: orientation predicates and the exact convex
+"""Exact low-level geometry: orientation predicates and the exact convex
 position predicates, without and with a floor.
 
 The convex-position predicates run the algorithms of the float batch
@@ -6,18 +6,18 @@ kernels in mc, whose docstrings hold the proofs: a walk around the
 centroid for the floorless 2D check, a walk around the floor midpoint in
 2D and a fan of simplices from one floor vertex in 3D.
 
-The orientation predicates run a filtered floating-point evaluation first
-and escalate to exact rational arithmetic when the computed determinant
-falls inside the certified error band.  Inputs may mix floats, ints and
-Fractions; exact fallbacks always use the original coordinate values.
+Every predicate decides on Python ints: each call first multiplies all
+its points, which may mix ints, floats and Fractions, by one positive common
+denominator (_integers), which changes no orientation sign, no coordinate
+order and no ratio of differences.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-
-_EPS = 2.220446049250313e-16
+from functools import cmp_to_key
 
 Point = tuple  # (x, y) or (x, y, z) of numbers
 
@@ -26,75 +26,75 @@ def _frac(p):
     return tuple(Fraction(c) for c in p)
 
 
+def _integers(points, k=1):
+    """The points times k D, as tuples of ints, with D the least common
+    denominator of all their coordinates and k a positive int.  Numbers
+    without as_integer_ratio, such as numpy's ints, go through Fraction."""
+    ratios = [[(c if hasattr(c, "as_integer_ratio") else Fraction(c))
+               .as_integer_ratio() for c in p] for p in points]
+    d = k * math.lcm(*(q for p in ratios for _, q in p))
+    return [tuple(n * (d // q) for n, q in p) for p in ratios]
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _det2(a, b, c):
+    """det[b - a, c - a] of int points."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _det3(a, b, c, d):
+    """det[b - a, c - a, d - a] of int points."""
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
+    return (wx * (uy * vz - uz * vy) + wy * (uz * vx - ux * vz)
+            + wz * (ux * vy - uy * vx))
+
+
 # ---------------------------------------------------------------------------
 # Orientation predicates
 
 def orient2(a: Point, b: Point, c: Point) -> int:
     """Sign of the signed area of triangle (a, b, c): +1 ccw, -1 cw, 0 flat."""
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    cx, cy = float(c[0]), float(c[1])
-    p1 = (bx - ax) * (cy - ay)
-    p2 = (by - ay) * (cx - ax)
-    det = p1 - p2
-    bound = 8.0 * _EPS * (abs(p1) + abs(p2))
-    if det > bound:
-        return 1
-    if det < -bound:
-        return -1
-    # ambiguous: exact evaluation
-    (ax, ay), (bx, by), (cx, cy) = _frac(a), _frac(b), _frac(c)
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (det > 0) - (det < 0)
+    return _sign(_det2(*_integers((a, b, c))))
 
 
 def orient3(a: Point, b: Point, c: Point, d: Point) -> int:
     """Sign of det[b-a, c-a, d-a]; +1 when d sees (a, b, c) clockwise."""
-    bdx = float(b[0]) - float(a[0]); bdy = float(b[1]) - float(a[1]); bdz = float(b[2]) - float(a[2])
-    cdx = float(c[0]) - float(a[0]); cdy = float(c[1]) - float(a[1]); cdz = float(c[2]) - float(a[2])
-    ddx = float(d[0]) - float(a[0]); ddy = float(d[1]) - float(a[1]); ddz = float(d[2]) - float(a[2])
-    m1 = bdy * cdz - bdz * cdy
-    m2 = bdz * cdx - bdx * cdz
-    m3 = bdx * cdy - bdy * cdx
-    det = ddx * m1 + ddy * m2 + ddz * m3
-    mag = (abs(ddx) * (abs(bdy * cdz) + abs(bdz * cdy))
-           + abs(ddy) * (abs(bdz * cdx) + abs(bdx * cdz))
-           + abs(ddz) * (abs(bdx * cdy) + abs(bdy * cdx)))
-    bound = 16.0 * _EPS * mag
-    if det > bound:
-        return 1
-    if det < -bound:
-        return -1
-    if a[2] == 0 and b[2] == 0 and c[2] == 0 and d[2] == 0:
-        return 0  # four points of the plane z = 0, such as floor vertices
-    fa, fb, fc, fd = _frac(a), _frac(b), _frac(c), _frac(d)
-    u = tuple(fb[i] - fa[i] for i in range(3))
-    v = tuple(fc[i] - fa[i] for i in range(3))
-    w = tuple(fd[i] - fa[i] for i in range(3))
-    det = (w[0] * (u[1] * v[2] - u[2] * v[1])
-           + w[1] * (u[2] * v[0] - u[0] * v[2])
-           + w[2] * (u[0] * v[1] - u[1] * v[0]))
-    return (det > 0) - (det < 0)
+    return _sign(_det3(*_integers((a, b, c, d))))
 
 
 # ---------------------------------------------------------------------------
 # Convex position
 
-def _dedupe(points):
-    seen = set()
-    out = []
-    for p in points:
-        key = _frac(p)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+def _turns_left(walk) -> bool:
+    return all(_det2(a, b, c) > 0
+               for a, b, c in zip(walk, walk[1:], walk[2:]))
 
 
 def turns_left(walk) -> bool:
     """True iff the walk turns strictly left at every interior point."""
-    return all(orient2(a, b, c) > 0
-               for a, b, c in zip(walk, walk[1:], walk[2:]))
+    return _turns_left(_integers(walk))
+
+
+def _by_angle(points, c):
+    """The int points sorted by the angle of p - c in [0, 2 pi), or None
+    when c is one of them or two lie on one ray from c.  Angles in [0, pi)
+    come first; within one such half-plane, where no two directions are
+    opposite, p comes first iff q - c is counter-clockwise of p - c."""
+    if c in points:
+        return None
+
+    def cmp(p, q):  # p[::-1] < c[::-1]: the angle of p - c is in [pi, 2 pi)
+        return (p[::-1] < c[::-1]) - (q[::-1] < c[::-1]) or _det2(c, q, p)
+
+    walk = sorted(points, key=cmp_to_key(cmp))
+    if any(cmp(p, q) == 0 for p, q in zip(walk, walk[1:])):
+        return None
+    return walk
 
 
 def in_convex_position_2d(points) -> bool:
@@ -102,25 +102,16 @@ def in_convex_position_2d(points) -> bool:
     fewer than 3 points, duplicates and collinear sets are not.
 
     The exact form of mc._centroid_verdicts, whose docstring proves the
-    walk: the points are sorted by exact angle around their centroid c, and
-    the closed walk in that order must turn strictly left at every point.
-    A point at c, or two points on one ray from c, fails the set.
+    walk: the points are sorted by angle around their centroid c, and the
+    closed walk in that order must turn strictly left at every point.  A
+    point at c, or two points on one ray from c, fails the set.  Scaled by
+    n, the points have a centroid of ints.
     """
-    pts = [_frac(p) for p in points]
-    c = tuple(sum(v) / len(pts) for v in zip(*pts))
-    if len(pts) < 3 or c in pts:
+    if len(points) < 3:
         return False
-
-    def angle(p):  # rational, in [0, 4), increasing with the angle of p - c
-        dx, dy = p[0] - c[0], p[1] - c[1]
-        t = dy / (abs(dx) + abs(dy))
-        return 2 - t if dx < 0 else 4 + t if dy < 0 else t
-
-    by_angle = {angle(p): p for p in pts}
-    if len(by_angle) < len(pts):
-        return False
-    walk = [by_angle[k] for k in sorted(by_angle)]
-    return turns_left([walk[-1], *walk, walk[0]])
+    pts = _integers(points, len(points))
+    walk = _by_angle(pts, tuple(sum(v) // len(pts) for v in zip(*pts)))
+    return walk is not None and _turns_left([walk[-1], *walk, walk[0]])
 
 
 def in_convex_position_with_floor_2d(points, floor=((0, 0), (1, 0))) -> bool:
@@ -128,23 +119,41 @@ def in_convex_position_with_floor_2d(points, floor=((0, 0), (1, 0))) -> bool:
 
     The exact form of mc.convex_position_verdicts_2d, whose docstring proves
     the walk: with f0, f1 the floor ends, f0x < f1x, and m their midpoint,
-    the points are sorted by the exact key (m_x - x)/y and the walk f1 ->
-    points -> f0 must turn strictly left at every point.  Two points with one
-    key lie on one ray from m, the nearer in the triangle of the farther and
-    the floor, so such a set fails.  No points are trivially in convex
-    position.
+    the points are sorted by the key (m_x - x)/y, which increases with the
+    angle of p - m, and the walk f1 -> points -> f0 must turn strictly left
+    at every point.  Two points with one key lie on one ray from m, the
+    nearer in the triangle of the farther and the floor, so such a set
+    fails.  No points are trivially in convex position.  Scaled by 2, the
+    points have a floor midpoint of ints.
     """
-    f0, f1 = sorted(floor, key=_frac)
-    if Fraction(f0[1]) != 0 or Fraction(f1[1]) != 0 or _frac(f0) == _frac(f1):
+    k = len(floor)
+    ints = _integers([*floor, *points], 2)
+    (f0, f1), pts = sorted(ints[:k]), ints[k:]
+    if f0[1] != 0 or f1[1] != 0 or f0 == f1:
         raise ValueError("floor must be two distinct points at height 0")
-    for p in points:
-        if Fraction(p[1]) <= 0:
-            raise ValueError("sample points must have positive height")
-    mx = (Fraction(f0[0]) + Fraction(f1[0])) / 2
-    by_key = {(mx - Fraction(p[0])) / Fraction(p[1]): p for p in points}
-    if len(by_key) < len(points):
-        return False
-    return turns_left([f1, *(by_key[k] for k in sorted(by_key)), f0])
+    if any(p[1] <= 0 for p in pts):
+        raise ValueError("sample points must have positive height")
+    walk = _by_angle(pts, ((f0[0] + f1[0]) // 2, 0))
+    return walk is not None and _turns_left([f1, *walk, f0])
+
+
+def _floor(vertices) -> list:
+    """The indices of the int vertices that convex_floor keeps."""
+    if any(len(v) == 3 and v[2] != 0 for v in vertices):
+        raise ValueError("floor vertices must be at height 0")
+    keep = [i for i, v in enumerate(vertices)
+            if i == 0 or v[:2] != vertices[i - 1][:2]]
+    while len(keep) > 1 and vertices[keep[-1]][:2] == vertices[0][:2]:
+        keep.pop()
+    f = [vertices[i][:2] for i in keep]
+    k = len(f)
+    sides = {_sign(_det2(f[j], f[(j + 1) % k], c))
+             for j in range(k) for i, c in enumerate(f) if (i - j) % k > 1}
+    if sides <= {0}:
+        raise ValueError("floor must have positive area")
+    if {-1, 1} <= sides or len(set(f)) < k:
+        raise ValueError("floor must be convex, its vertices in boundary order")
+    return keep
 
 
 def convex_floor(vertices) -> list:
@@ -162,23 +171,8 @@ def convex_floor(vertices) -> list:
     a vertex, so no edge passes one, and the distinct vertices go round
     exactly once, in boundary order.
     """
-    floor = []
-    for v in vertices:
-        if len(v) == 3 and v[2] != 0:
-            raise ValueError("floor vertices must be at height 0")
-        v = (v[0], v[1], 0) if len(v) == 2 else tuple(v)
-        if not floor or v[:2] != floor[-1][:2]:
-            floor.append(v)
-    while len(floor) > 1 and floor[-1][:2] == floor[0][:2]:
-        floor.pop()
-    k = len(floor)
-    sides = {orient2(floor[j][:2], floor[(j + 1) % k][:2], c[:2])
-             for j in range(k) for i, c in enumerate(floor) if (i - j) % k > 1}
-    if sides <= {0}:
-        raise ValueError("floor must have positive area")
-    if {-1, 1} <= sides or len({v[:2] for v in floor}) < k:
-        raise ValueError("floor must be convex, its vertices in boundary order")
-    return floor
+    vertices = list(vertices)
+    return [(*vertices[i][:2], 0) for i in _floor(_integers(vertices))]
 
 
 def floor_fan(k: int, m: int) -> list:
@@ -204,22 +198,23 @@ def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:
     iff it lies weakly inside a non-flat simplex (q0, a, b, c) of
     floor_fan.  The points are tested lowest first.
     """
-    q0, *floor = convex_floor(floor_polygon)
-    for p in points:
-        if Fraction(p[2]) <= 0:
-            raise ValueError("sample points must have positive height")
-    pts = list(points)
-    if len(_dedupe(pts)) < len(pts):
+    k = len(floor_polygon)
+    ints = _integers([*floor_polygon, *points])
+    q0, *floor = [(*ints[i][:2], 0) for i in _floor(ints[:k])]
+    pts = ints[k:]
+    if any(p[2] <= 0 for p in pts):
+        raise ValueError("sample points must have positive height")
+    if len(set(pts)) < len(pts):
         return False
     fan = floor_fan(len(floor) + 1, len(pts) - 1)
-    for i in sorted(range(len(pts)), key=lambda i: Fraction(pts[i][2])):
+    for i in sorted(range(len(pts)), key=lambda i: pts[i][2]):
         x, others = pts[i], floor + pts[:i] + pts[i + 1:]
         for a, b, c in ((others[a], others[b], others[c]) for a, b, c in fan):
-            s = orient3(q0, a, b, c)
-            if s and (orient3(x, a, b, c) * s >= 0
-                      and orient3(q0, x, b, c) * s >= 0
-                      and orient3(q0, a, x, c) * s >= 0
-                      and orient3(q0, a, b, x) * s >= 0):
+            s = _sign(_det3(q0, a, b, c))
+            if s and (_det3(x, a, b, c) * s >= 0
+                      and _det3(q0, x, b, c) * s >= 0
+                      and _det3(q0, a, x, c) * s >= 0
+                      and _det3(q0, a, b, x) * s >= 0):
                 return False
     return True
 
@@ -288,7 +283,7 @@ def point_in_hull_lp(p: Point, points) -> bool:
 def in_convex_position_with_floor_oracle(points, floor_pts) -> bool:
     """Brute-force oracle for both floor predicates (any dimension)."""
     pts = list(points)
-    if len(_dedupe(pts)) < len(pts):
+    if len(set(map(_frac, pts))) < len(pts):
         return False
     S = pts + [tuple(f) for f in floor_pts]
     for i, p in enumerate(pts):

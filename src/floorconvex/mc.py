@@ -1,7 +1,7 @@
 """Monte Carlo estimators for convex-position probabilities.
 
 The batch predicates run in floating point with a certified margin; trials
-whose verdict falls inside the margin are re-checked with the exact rational
+whose verdict falls inside the margin are re-checked with the exact integer
 predicates.  Every estimator runs on one chunked runner, _run_binomial: work
 is split into fixed-size chunks, each with its own random stream keyed by
 (seed, chunk index), and per-chunk tallies are merged in chunk order, so

@@ -127,9 +127,7 @@ def _heights(body: LinearLayerBody, u: np.ndarray) -> np.ndarray:
 def sample_heights(body: BodyWithFloor, rng: np.random.Generator, n: int) -> np.ndarray:
     """Heights of n uniform points, without the horizontal coordinates."""
     if isinstance(body, SubPrism2D):
-        def column(u):
-            return [body.top.values(body.top.sample_x(u[0])) * u[1]]
-        return _map_uniforms(rng, 2, n, column, 1)[:, 0]
+        return sample_body(body, rng, n)[:, 1]
     return _map_uniforms(rng, 1, n, lambda u: [_heights(body, u[0])], 1)[:, 0]
 
 

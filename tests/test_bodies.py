@@ -202,6 +202,8 @@ def test_load_body_names_a_missing_key(tmp_path, desc, key):
     ({"kind": "frustum", "dimension": 3, "h": 0.5, "apex": [0, 0, 1]},
      "'apex'"),
     ({"kind": "mountain", "dimension": 3, "h": 0.5}, "'h'"),
+    ({"kind": "frustum", "dimension": 3, "h": True}, "'h'"),
+    ({"kind": "frustum", "dimension": 3, "h": "x"}, "'h'"),
 ])
 def test_descriptor_key_the_body_cannot_honour_raises(desc, key):
     with pytest.raises(ValueError, match=key):

@@ -244,6 +244,10 @@ def test_quadrature_pwl_file(capsys, tmp_path):
     (("quadrature", "--n", "3", "--top", "pwl:"),
      {"kind": "pwl", "knots": [[[0, 0], [1, 1]], [[1, 1], [1, 1]]]},
      "is malformed"),
+    (("body", "--body", ""), {"kind": "frustum", "dimension": 3, "h": "x"},
+     "'h'"),
+    (("body", "--body", ""), {"kind": "frustum", "dimension": 3, "h": True},
+     "'h'"),
 ])
 def test_malformed_descriptor_exits_1(capsys, tmp_path, argv, desc, says):
     path = tmp_path / "desc.json"

@@ -62,6 +62,42 @@ def test_orient3_on_the_floor_plane_skips_fractions(monkeypatch):
         assert geo.orient3(*pts) == 0
 
 
+def _fraction_orient2(a, b, c):
+    (ax, ay), (bx, by), (cx, cy) = (map(F, q) for q in (a, b, c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def _near_third(rng, dim):
+    """A point whose coordinates are 1/3 + k/(3 10^12 + j), |k| <= 3: no
+    float holds them, and rounding them moves them by about 1e-4 of their
+    distances, so near-flat sets of them turn the wrong way in floats."""
+    return tuple(F(1, 3) + F(int(k), 3 * 10 ** 12 + int(j))
+                 for k, j in zip(rng.integers(-3, 4, dim),
+                                 rng.integers(0, 4, dim)))
+
+
+def test_predicates_are_exact_on_rationals_no_float_holds():
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        pts = [_near_third(rng, 2) for _ in range(3)]
+        assert geo.orient2(*pts) == _fraction_orient2(*pts), pts
+        pts = [_near_third(rng, 3) for _ in range(4)]
+        assert geo.orient3(*pts) == _fraction_orient3(*pts), pts
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    for _ in range(250):
+        pts = [_near_third(rng, 2) for _ in range(int(rng.integers(3, 7)))]
+        assert geo.in_convex_position_2d(pts) == \
+            geo.in_convex_position_with_floor_oracle(pts, []), pts
+        pts = [_near_third(rng, 2) for _ in range(int(rng.integers(2, 6)))]
+        assert geo.in_convex_position_with_floor_2d(pts) == \
+            geo.in_convex_position_with_floor_oracle(pts, [(0, 0), (1, 0)]), pts
+        pts = [_near_third(rng, 3) for _ in range(int(rng.integers(2, 5)))]
+        assert geo.in_convex_position_with_floor_3d(pts, square) == \
+            geo.in_convex_position_with_floor_oracle(
+                pts, [(x, y, 0) for x, y in square]), pts
+
+
 # ---------------------------------------------------------------------------
 # Floor predicates
 
