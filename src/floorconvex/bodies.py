@@ -125,7 +125,10 @@ BodyWithFloor = SubPrism2D | LinearLayerBody
 def _unit_floor(floor_polygon):
     if floor_polygon is None:
         return UNIT_SQUARE_FLOOR
-    return normalize_floor_polygon(floor_polygon)
+    try:
+        return normalize_floor_polygon(floor_polygon)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'floor' {floor_polygon!r}: {exc}") from None
 
 
 def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
@@ -268,9 +271,14 @@ def _top_from_json(d: dict) -> TopFunction:
     if d["kind"] == "quadratic":
         return QuadraticTop()
     if d["kind"] == "pwl":
-        knots = tuple((Fraction(int(x[0]), int(x[1])), Fraction(int(y[0]), int(y[1])))
-                      for (x, y) in d["knots"])
-        return PiecewiseLinearTop(knots)
+        knots = []
+        for i, knot in enumerate(d["knots"]):
+            try:
+                x, y = (Fraction(int(p), int(q)) for p, q in knot)
+                knots.append((x, y))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"'knots'[{i}] {knot!r}: {exc}") from None
+        return PiecewiseLinearTop(tuple(knots))
     raise ValueError(f"unknown top function kind {d['kind']!r}")
 
 

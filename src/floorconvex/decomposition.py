@@ -10,9 +10,10 @@ vertical-line-preserving affine maps onto the unit-area standard position.
 
 The triangle (and its mirror) and the quadratic top have closed forms, as
 has n = 2.  For every other piecewise-linear top, |L|^m Q_m(NL_t) and its
-right counterpart are polynomials on each knot panel, found in Fractions by
-one sweep over the panels from each end (proved in q_decomp); so Q_n comes
-out exact, in time polynomial in n and linear in the number of segments.
+right counterpart are polynomials on each knot panel, found by one sweep
+over the panels from each end (proved in q_decomp) on integers over one
+denominator per panel; so Q_n comes out exact, in time polynomial in n and
+linear in the number of segments.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sequences import p_closed, t_closed
+from .sequences import _exact_div, p_closed, t_closed
 from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
                            q2_exact_subprism)
 
@@ -95,41 +96,46 @@ def split(G: PiecewiseLinearTop, t) -> NormalizedSplit:
 # ---------------------------------------------------------------------------
 # The chord sweep
 
-def _sweep(knots, n: int) -> list:
-    """For each knot panel [x0, x0 + h], left to right: the list of h^i/i!,
-    i <= n + 1, and for each m < n the coefficients c of
-    W_m^{0,0}(x0 + s) = sum_i c_i s^i/i! (see q_decomp)."""
-    # V[k][j, l] = W_k^{j,l} at the panel's start, l-major so that each
+def _sweep(knots, n: int, L: int) -> list:
+    """For each knot panel, left to right: the pair (D, polys), where for
+    each m < n polys[m] holds integers c_i with W_m^{0,0}(x0 + s) =
+    sum_i c_i/(D L^i) s^i/i! (see q_decomp for the scaling)."""
+    N, (a, b) = n - 1, knots[0][1].as_integer_ratio()
+    # V[k][j, l] = D W_k^{j,l} at the panel's start, l-major so that each
     # state follows those it needs
-    V = [{(j, l): knots[0][1] ** j if k == l == 0 else 0
+    V = [{(j, l): a ** j * b ** (N - j) if k == l == 0 else 0
           for l in range(n - k) for j in range(n - k - l)} for k in range(n)]
-    panels, slope = [], None
+    D, panels, slope = b ** N, [], None
     for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
         h, new = x1 - x0, (y1 - y0) / (x1 - x0)
         if slope is not None:
-            neg = [(slope - new) ** p for p in range(n)]      # (-Delta)^p
+            r, s = (slope - new).as_integer_ratio()
+            neg = [r ** p * s ** (N - p) for p in range(n)]   # s^N (-Delta)^p
             V = [{(j, l): sum(math.comb(j, i) * neg[j - i] * Vk[i, l + j - i]
                               for i in range(j + 1)) for (j, l) in Vk}
                  for Vk in V]
-        slope = new
-        H = [h ** i / math.factorial(i) for i in range(n + 2)]
+            D *= s ** N
+        g = math.gcd(D, *(v for Vk in V for v in Vk.values()))
+        D, V = D // g, [{key: v // g for key, v in Vk.items()} for Vk in V]
+        slope, (p, q) = new, h.as_integer_ratio()
+        Lq = L * q
+        E = [p ** i * Lq ** (N - i) * math.perm(N, N - i) for i in range(n)]
         prev, polys = {}, []
         for k, Vk in enumerate(V):
-            # with W = sum_i c_i s^i/i!, the panel equation reads
-            # c_{i+1} = alpha c_i[W_{k-1}^{j+1,l}] + l c_i[W_k^{j,l-1}];
-            # zeros, most coefficients on a sweep's first panel, are skipped
+            # the panel equation c_{i+1} = alpha c_i[W_{k-1}^{j+1,l}]
+            # + l c_i[W_k^{j,l-1}], each side times D L^(i+1)
             cur = {}
             for (j, l), v in Vk.items():
                 none = [0] * (k + l)
                 A, B = prev.get((j + 1, l), none), cur.get((j, l - 1), none)
-                alpha = Fraction(k, (j + l + 1) * (j + l + 2))
-                cur[j, l] = [v] + [(alpha * a if a else 0) + (l * b if b else 0)
-                                   for a, b in zip(A, B)]
-            V[k] = {s: sum(x * y for x, y in zip(c, H) if x)
-                    for s, c in cur.items()}
+                aL = _exact_div(k * L, (j + l + 1) * (j + l + 2))
+                cur[j, l] = [v] + [aL * x + l * L * y for x, y in zip(A, B)]
+            V[k] = {st: sum(x * y for x, y in zip(c, E))
+                    for st, c in cur.items()}
             polys.append(cur[0, 0])
             prev = cur
-        panels.append((H, polys))
+        panels.append((D, polys))
+        D *= Lq ** N * math.factorial(N)
     return panels
 
 
@@ -155,19 +161,25 @@ def q_exact(G: TopFunction, n: int) -> Fraction:
     closed = _closed_form(G, n)
     if closed is not None:
         return closed
-    ks = G.knots
-    left = _sweep(ks, n)
-    right = _sweep(tuple((1 - x, y) for x, y in reversed(ks)), n)[::-1]
+    ks, N = G.knots, n - 1
+    L = math.lcm(*((m + 1) * (m + 2) for m in range(n)))
+    left = _sweep(ks, n, L)
+    right = _sweep(tuple((1 - x, y) for x, y in reversed(ks)), n, L)[::-1]
     total = Fraction(0)
-    for (x0, y0), (x1, y1), (H, lw), (_, rw) in zip(ks, ks[1:], left, right):
+    for (x0, y0), (x1, y1), (dl, lw), (dr, rw) in zip(ks, ks[1:], left, right):
         # the right part's panel variable is h - s, G(x0 + s) =
         # (y0 (h - s) + y1 s)/h, and int_0^h s^a/a! (h - s)^b/b! ds =
         # h^{a+b+1}/(a+b+1)! (the Beta integral)
-        total += sum(
-            math.comb(n - 1, m) * ca * db * H[a + b + 2]
-            * (y0 * (b + 1) + y1 * (a + 1))
-            for m in range(n) for a, ca in enumerate(lw[m]) if ca
-            for b, db in enumerate(rw[n - 1 - m]) if db) / (x1 - x0)
+        p, q = (x1 - x0).as_integer_ratio()
+        P = [p ** (i + 1) * (L * q) ** (N - i) * math.perm(N + 2, N - i)
+             for i in range(n)]
+        u0, u1 = y0.numerator * y1.denominator, y1.numerator * y0.denominator
+        num = sum(
+            math.comb(N, m) * c * d * P[a + b] * (u0 * (b + 1) + u1 * (a + 1))
+            for m in range(n) for a, c in enumerate(lw[m]) if c
+            for b, d in enumerate(rw[N - m]) if d)
+        den = dl * dr * q ** (N + 1) * y0.denominator * y1.denominator
+        total += Fraction(num, den * L ** N * math.factorial(N + 2))
     return total
 
 
@@ -221,6 +233,14 @@ def q_decomp(G: TopFunction, n: int, tol: float = 1e-9,
     the integrand has degree <= n on each panel, and its exact integral is
     Q_n.  At k = 1, (1) gives d|L|/dt = a/2 = (G - t G')/2, and at k = 2 a
     constant second derivative a^2/6: at n = 3 the integrand is a cubic.
+    The integers.  With N = n - 1 and L = lcm{(m + 1)(m + 2) : m < n}, the
+    states at a panel's start are integers over one D, and coefficient i of
+    a panel polynomial one over D L^i: (1) reads c_{i+1} = (alpha L) A_i +
+    (l L) B_i, alpha L an integer as j + l < n.  On a panel of width p/q the
+    end values are sum_i c_i p^i (Lq)^(N-i) N!/i! over D (Lq)^N N!; (2),
+    with -Delta = r/s, scales term i by r^(j-i) s^(N-j+i) and D by s^N; (3)
+    is a^j b^(N-j) over b^N for G(0) = a/b.  Once per panel the states and
+    D lose their gcd, and the panel's integral is one Fraction.
     """
     # tol is unused, as the value is exact; it is still accepted and
     # checked because perfbench/workloads.py and acceptance criterion 5

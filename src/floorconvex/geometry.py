@@ -47,11 +47,17 @@ def _det2(a, b, c):
 
 def _det3(a, b, c, d):
     """det[b - a, c - a, d - a] of int points."""
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-    return (wx * (uy * vz - uz * vy) + wy * (uz * vx - ux * vz)
-            + wz * (ux * vy - uy * vx))
+    u, v, w = ([p[k] - a[k] for k in range(3)] for p in (b, c, d))
+    return _dot(w, _cross(u, v))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +213,21 @@ def in_convex_position_with_floor_3d(points, floor_polygon) -> bool:
     if len(set(pts)) < len(pts):
         return False
     fan = floor_fan(len(floor) + 1, len(pts) - 1)
+    # with q0 at the origin, d0 = a.(b x c), e_k is d0 with x for its k-th
+    # vertex and e0 = d0 - e1 - e2 - e3 (mc.convex_position_verdicts_3d);
+    # most simplices reject x on e1, so e2 and e3 wait for it
+    floor, pts = ([(p[0] - q0[0], p[1] - q0[1], p[2]) for p in ps]
+                  for ps in (floor, pts))
     for i in sorted(range(len(pts)), key=lambda i: pts[i][2]):
         x, others = pts[i], floor + pts[:i] + pts[i + 1:]
         for a, b, c in ((others[a], others[b], others[c]) for a, b, c in fan):
-            s = _sign(_det3(q0, a, b, c))
-            if s and (_det3(x, a, b, c) * s >= 0
-                      and _det3(q0, x, b, c) * s >= 0
-                      and _det3(q0, a, x, c) * s >= 0
-                      and _det3(q0, a, b, x) * s >= 0):
-                return False
+            bc = _cross(b, c)
+            d0, e1 = _dot(a, bc), _dot(x, bc)
+            s = _sign(d0)
+            if s and s * e1 >= 0:
+                e2, e3 = _dot(x, _cross(c, a)), _dot(x, _cross(a, b))
+                if min(s * e2, s * e3, s * (d0 - e1 - e2 - e3)) >= 0:
+                    return False
     return True
 
 

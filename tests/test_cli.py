@@ -248,6 +248,14 @@ def test_quadrature_pwl_file(capsys, tmp_path):
      "'h'"),
     (("body", "--body", ""), {"kind": "frustum", "dimension": 3, "h": True},
      "'h'"),
+    (("quadrature", "--n", "3", "--top", "pwl:"),
+     {"kind": "pwl", "knots": [[["0", "1"], ["0", "1"]],
+                               [["1e3", "1"], ["1", "1"]]]}, "'knots'[1]"),
+    (("quadrature", "--n", "3", "--top", "pwl:"),
+     {"kind": "pwl", "knots": [[0, 0], [1, 0]]}, "'knots'[0]"),
+    (("body", "--body", ""),
+     {"kind": "prism", "dimension": 3, "floor": [["a", 1], [1, 0], [1, 1]]},
+     "'floor'"),
 ])
 def test_malformed_descriptor_exits_1(capsys, tmp_path, argv, desc, says):
     path = tmp_path / "desc.json"

@@ -348,9 +348,12 @@ def test_q_decomp_checks_its_budget_before_any_work():
     assert r.exhausted and r.evaluations == 0 and r.wall_ms < 100
 
 
+SEGMENTS_70 = PiecewiseLinearTop(tuple((F(i, 70), F(i * (70 - i), 70 ** 2))
+                                        for i in range(71)))
+
+
 def test_q_decomp_runs_a_70_segment_top_within_its_budget():
-    knots = [(F(i, 70), F(i * (70 - i), 70 ** 2)) for i in range(71)]
-    G = PiecewiseLinearTop(tuple(knots))
+    G = SEGMENTS_70
     cost = 2 * 70 * math.comb(5, 3)
     r = q_decomp(G, 3, budget=cost)
     assert not r.exhausted and r.evaluations == cost
@@ -384,6 +387,16 @@ def test_sweep_pins_the_trapezoid():
         F(41, 576), F(187, 23040), F(71, 115200), F(323, 9676800)]
     r = q_decomp(TRAPEZOID, 6)
     assert r.exact == F(323, 9676800) and r.value == 323 / 9676800
+
+
+def test_sweep_pins_large_n_and_many_segments():
+    # values of the earlier Fraction sweep; the 70-segment top's slope
+    # changes by -1/35 at every knot, where the integer states gain 35^(n-1)
+    assert q_exact(TRAPEZOID, 12) == F(16747859, 3054338996667678720000)
+    assert q_exact(TRAPEZOID, 20) == F(
+        35443537781, 402275359442517348968981068146278400000000)
+    assert q_exact(SEGMENTS_70, 6) == F(2365367605857138277701431,
+                                        34582326306688840352380312500)
 
 
 def test_sweep_reproduces_closed_families():
