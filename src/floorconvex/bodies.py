@@ -15,6 +15,7 @@ coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -30,6 +31,37 @@ from .topfunctions import (PiecewiseLinearTop, QuadraticTop, TopFunction,
 
 
 # ---------------------------------------------------------------------------
+# Descriptor readers: each key, and the h of frustum2d:<h>, passes one of them
+
+def _real(key, v, lo=-1e308, hi=1e308):
+    """v, a real number but not a bool, in (lo, hi): by default, finite."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not lo < v < hi:
+        raise ValueError(f"{key} must be a real number in ({lo:g}, {hi:g}), not {v!r}")
+    return v
+
+
+def _point(key, v, read=_real, sizes=(2,)):
+    """read(key, x) for each x of v, a sequence with a length in sizes."""
+    if not isinstance(v, list | tuple | np.ndarray) or len(v) not in sizes:
+        raise ValueError(f"{key} must be a list of {' or '.join(map(str, sizes))}, not {v!r}")
+    return [read(key, x) for x in v]
+
+
+def _knot_part(key, v):
+    """Fraction(num, den) of v = [num, den], ints or decimal strings of ints."""
+    with contextlib.suppress(ValueError, ZeroDivisionError):
+        if type(v) is list and len(v) == 2 and all(type(p) in (int, str) for p in v):
+            return Fraction(int(v[0]), int(v[1]))
+    raise ValueError(f"{key} part {v!r} must be [num, den] of ints or int strings, den != 0")
+
+
+def _choice(key, v, options):
+    if v not in options:
+        raise ValueError(f"{key} must be {' or '.join(map(repr, options))}, not {v!r}")
+    return v
+
+
+# ---------------------------------------------------------------------------
 # Floor polygons
 
 def polygon_area(polygon) -> float:
@@ -41,19 +73,19 @@ def polygon_area(polygon) -> float:
 def normalize_floor_polygon(vertices):
     """The ccw convex polygon with area 1 and centroid 0 similar to vertices.
 
-    vertices: iterable of (x, y), in any order.  Raises ValueError on
-    degenerate input and unless the vertices, sorted by angle around their
-    mean, form a convex polygon.
+    vertices: iterable of [x, y], finite reals, in any order.  Raises
+    ValueError unless the vertices, sorted by angle around their mean, form
+    a convex polygon whose scaled area is 1 in floats.
     """
-    pts = [(float(x), float(y)) for (x, y) in vertices]
+    pts = [tuple(map(float, _point(f"'floor'[{i}]", v))) for i, v in enumerate(vertices)]
     if len(pts) < 3:
-        raise ValueError("floor polygon needs at least 3 vertices")
+        raise ValueError("'floor' needs at least 3 vertices")
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
     pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
     area = polygon_area(pts)
     if area <= 0:
-        raise ValueError("floor polygon is degenerate")
+        raise ValueError("'floor' is degenerate")
     convex_floor(pts)
     gx = gy = 0.0
     for i in range(len(pts)):
@@ -65,7 +97,10 @@ def normalize_floor_polygon(vertices):
     gx /= 6 * area
     gy /= 6 * area
     s = 1.0 / math.sqrt(area)
-    return tuple(((x - gx) * s, (y - gy) * s) for (x, y) in pts)
+    out = tuple(((x - gx) * s, (y - gy) * s) for (x, y) in pts)
+    if not abs(polygon_area(out) - 1.0) < 1e-9:     # also false for NaN
+        raise ValueError("'floor' is too large or too thin to scale to area 1")
+    return out
 
 
 UNIT_SQUARE_FLOOR = normalize_floor_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -123,12 +158,8 @@ BodyWithFloor = SubPrism2D | LinearLayerBody
 
 
 def _unit_floor(floor_polygon):
-    if floor_polygon is None:
-        return UNIT_SQUARE_FLOOR
-    try:
-        return normalize_floor_polygon(floor_polygon)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"'floor' {floor_polygon!r}: {exc}") from None
+    return (UNIT_SQUARE_FLOOR if floor_polygon is None
+            else normalize_floor_polygon(floor_polygon))
 
 
 def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
@@ -137,11 +168,8 @@ def frustum(h: float, d: int, floor_polygon=None) -> LinearLayerBody:
     The hull of the two bases has volume slightly below 1 in 3D, so the body
     is rescaled isotropically; the floor then has area slightly above 1.
     """
-    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < 2:
-        raise ValueError(f"frustum height 'h' must be a real number in "
-                         f"(0, 2), not {h!r}")
-    if d not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
+    _real("'h'", h, 0, 2)
+    _choice("'dimension'", d, (2, 3))
     c = (2.0 / h - 1.0) ** (1.0 / (d - 1))
     try:
         finite = math.isfinite(c ** d)      # samplers._heights takes c ** d
@@ -268,18 +296,12 @@ def _top_to_json(top: TopFunction) -> dict:
 
 
 def _top_from_json(d: dict) -> TopFunction:
-    if d["kind"] == "quadratic":
-        return QuadraticTop()
-    if d["kind"] == "pwl":
-        knots = []
-        for i, knot in enumerate(d["knots"]):
-            try:
-                x, y = (Fraction(int(p), int(q)) for p, q in knot)
-                knots.append((x, y))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"'knots'[{i}] {knot!r}: {exc}") from None
-        return PiecewiseLinearTop(tuple(knots))
-    raise ValueError(f"unknown top function kind {d['kind']!r}")
+    kind = _choice("'kind'", d["kind"], ("quadratic", "pwl"))
+    top = QuadraticTop() if kind == "quadratic" else PiecewiseLinearTop(tuple(
+        _point(f"'knots'[{i}]", k, _knot_part) for i, k in enumerate(d["knots"])))
+    for key in d:
+        _choice(f"a key of a {kind} top", key, tuple(_top_to_json(top)))
+    return top
 
 
 def body_to_json(body: BodyWithFloor) -> dict:
@@ -299,39 +321,29 @@ def body_to_json(body: BodyWithFloor) -> dict:
 
 
 def body_from_json(d: dict) -> BodyWithFloor:
-    """The body of a body_to_json descriptor.  A key the body cannot honour
-    is a ValueError naming it: a key that body_to_json would not write for
-    the body, a 'dimension' other than the body's, or a mountain apex
-    height other than 3."""
+    """The body of a body_to_json descriptor; a key that body_to_json would
+    not write for the body, or a 'dimension' not the body's, is refused."""
     body = _build_body(d)
-    extra = sorted(set(d) - set(body_to_json(body)))
-    if extra:
-        raise ValueError(f"a {body.dimension}D {body.kind} takes no "
-                         f"{', '.join(map(repr, extra))}")
-    if d.get("dimension", body.dimension) != body.dimension:
-        raise ValueError(f"a {body.kind} has 'dimension' {body.dimension}, "
-                         f"not {d['dimension']!r}")
+    for key in d:
+        _choice(f"a key of a {body.dimension}D {body.kind}", key, tuple(body_to_json(body)))
+    _choice("'dimension'", d.get("dimension", body.dimension), (body.dimension,))
     return body
 
 
 def _build_body(d: dict) -> BodyWithFloor:
-    kind = d.get("kind")
+    kind = _choice("'kind'", d.get("kind"), ("subprism2d", "mountain", "prism",
+                                              "frustum", "tetrahedron"))
     if kind == "subprism2d":
         return SubPrism2D(_top_from_json(d["top"]))
     if kind == "mountain":
-        apex = d.get("apex", [0.0, 0.0])
-        x, y, *height = apex
-        if height not in ([], [3]):
-            raise ValueError(f"mountain 'apex' {apex} is not [x, y, 3]: the "
-                             f"unit-volume mountain has height 3")
+        x, y, *z = _point("'apex'", d.get("apex", [0.0, 0.0]), sizes=(2, 3))
+        _choice("'apex'[2], the unit-volume mountain's height,", z[0] if z else 3, (3,))
         return mountain3d(d.get("floor"), apex_xy=(x, y))
     if kind == "prism":
         return prism3d(d.get("floor"))
     if kind == "frustum":
         return frustum(d["h"], d["dimension"], d.get("floor"))
-    if kind == "tetrahedron":
-        return tetrahedron()
-    raise ValueError(f"unknown body kind {kind!r}")
+    return tetrahedron()
 
 
 BUILTIN_BODIES = {
@@ -349,10 +361,11 @@ def builtin_body(name: str) -> BodyWithFloor:
     """Resolve a builtin body name; 'frustum2d:h' / 'frustum3d:h' take a height."""
     if name in BUILTIN_BODIES:
         return BUILTIN_BODIES[name]()
-    if name.startswith("frustum2d:"):
-        return frustum(float(name.split(":", 1)[1]), 2)
-    if name.startswith("frustum3d:"):
-        return frustum(float(name.split(":", 1)[1]), 3)
+    if name.startswith(("frustum2d:", "frustum3d:")):
+        h = name[10:]
+        with contextlib.suppress(ValueError):   # else frustum refuses the text
+            h = float(h)
+        return frustum(h, int(name[7]))
     raise ValueError(f"unknown builtin body {name!r}; known: "
                      f"{', '.join(sorted(BUILTIN_BODIES))}, frustum2d:<h>, frustum3d:<h>")
 

@@ -196,10 +196,7 @@ def cmd_verify(args) -> int:
 def cmd_body(args):
     if args.levels < 1:
         raise ValueError("--levels must be >= 1")
-    try:
-        body = load_body(args.body)
-    except ValueError as exc:
-        raise ValueError(f"bad body descriptor: {exc}")
+    body = load_body(args.body)
     hm = max_height(body)
     ts = hm * np.arange(args.levels + 1) / args.levels
     table = [{"height": t, "layer": layer, "below": below}

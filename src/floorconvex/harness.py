@@ -210,7 +210,7 @@ def suite_tetra_sandwich(n_max: int = 4, samples: int = 500_000,
                      slack=SIGMA * r.std_error, flagged=r.low_power)
         if n == 2:
             rep.check_eq("tetrahedron n=2: Q = u_2 = 1/2", r.estimate, 0.5,
-                         tol=SIGMA * r.std_error)
+                         tol=SIGMA * r.std_error, flagged=r.low_power)
     for k, label in [(4, "square"), (5, "pentagon"), (3, "triangle")]:
         body = mountain3d(regular_polygon_floor(k))
         for n in (2, 3):

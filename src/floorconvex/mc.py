@@ -495,8 +495,8 @@ def _run_binomial(chunk_fn, n_samples: int, seed: int, workers: int,
         return chunk_fn(RngStream(seed, i).generator(),
                         min(chunk_size, n_samples - start))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
+    if min(workers, len(jobs)) > 1:     # no more threads than chunks
+        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
             parts = list(ex.map(run, jobs))
     else:
         parts = [run(j) for j in jobs]

@@ -28,6 +28,12 @@ def test_floor_polygon_normalization():
     assert poly[0] == pytest.approx((-0.5, -0.5))
 
 
+def test_floor_polygon_of_a_numpy_array():
+    square = [(0, 0), (3, 0), (3, 3), (0, 3)]
+    assert (normalize_floor_polygon(np.array(square, dtype=float))
+            == normalize_floor_polygon(square))
+
+
 def test_floor_polygon_rejects_degenerate():
     with pytest.raises(ValueError):
         normalize_floor_polygon([(0, 0), (1, 1)])

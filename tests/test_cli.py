@@ -1,13 +1,19 @@
 """CLI: schema stability, exit codes, output formats."""
 
+import contextlib
+import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from floorconvex.cli import main
+from floorconvex.sequences import SEQUENCE_NAMES
 
 T_LIST_DECIMALS = [1.0, 1.0, 1 / 3, 1 / 18, 1 / 180, 1 / 2700, 1 / 56700,
                    1 / 1587600, 1 / 57153600]
@@ -256,6 +262,40 @@ def test_quadrature_pwl_file(capsys, tmp_path):
     (("body", "--body", ""),
      {"kind": "prism", "dimension": 3, "floor": [["a", 1], [1, 0], [1, 1]]},
      "'floor'"),
+    # a float knot part is refused, not truncated to an int (Q_3 would read 1/18)
+    (("quadrature", "--n", "3", "--top", "pwl:"),
+     {"kind": "pwl", "knots": [[["0", "1"], ["0", "1"]],
+                               [["1", "2"], ["1", "1"]],
+                               [["1", "1"], [0.9, 1]]]}, "'knots'[2]"),
+    (("estimate", "--n", "3", "--samples", "100", "--body", ""),
+     {"kind": "mountain", "apex": [math.nan, 0]}, "'apex'"),
+    (("body", "--body", ""), {"kind": "mountain", "apex": ["1", 0]},
+     "'apex'"),
+    (("estimate", "--n", "3", "--samples", "100", "--body", ""),
+     {"kind": "mountain", "apex": ["1", 0]}, "'apex'"),
+    (("estimate", "--n", "3", "--samples", "100", "--body", ""),
+     {"kind": "mountain", "apex": [math.inf, 0]}, "'apex'"),
+    (("estimate", "--n", "3", "--samples", "100", "--body", ""),
+     {"kind": "prism", "floor": [[0, 0], [math.inf, 0], [1, 1], [0, 1]]},
+     "'floor'"),
+    (("body", "--body", ""),
+     {"kind": "prism", "floor": [[0, 0], [1e300, 0], [1e300, 1e300],
+                                 [0, 1e300]]}, "'floor'"),
+    (("estimate", "--n", "3", "--samples", "100", "--body", ""),
+     {"kind": "prism", "floor": [[0, 0], [1e300, 0], [1e300, 1e300],
+                                 [0, 1e300]]}, "'floor'"),
+    (("body", "--body", ""),
+     {"kind": "prism", "floor": [[0, 0], [1, 0], [True, True], [0, 1]]},
+     "'floor'"),
+    (("body", "--body", ""),
+     {"kind": "prism", "floor": [[0, 0], [1, 0], ["1", "1"], [0, 1]]},
+     "'floor'"),
+    (("quadrature", "--n", "3", "--top", "pwl:"),
+     {"kind": "pwl", "knots": [[["0", "1"], ["1", "1"]],
+                               [["1", "1"], ["1", "1"]]], "extra": 1},
+     "'extra'"),
+    (("body", "--body", ""), {"kind": "frustum", "dimension": "3", "h": 0.5},
+     "'dimension'"),
 ])
 def test_malformed_descriptor_exits_1(capsys, tmp_path, argv, desc, says):
     path = tmp_path / "desc.json"
@@ -321,6 +361,20 @@ def test_verify_failure_exit_2(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_flags_every_low_power_tetra_sandwich_record(capsys, tmp_path):
+    # at one sample per estimate every record is low-power, the equality
+    # check of Q_T(2) = 1/2 among them, so none can fail the suite
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--suite", "tetra_sandwich",
+                     "--samples", "1", "--output", str(path))
+    assert code == 0
+    records = json.loads(path.read_text())["reports"][0]["records"]
+    eq = [r for r in records
+          if r["description"] == "tetrahedron n=2: Q = u_2 = 1/2"]
+    assert len(eq) == 1 and eq[0]["flagged"]
+    assert all(r["flagged"] for r in records)
+
+
 def test_verify_report_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "--suite", "mountain_mixture",
@@ -378,6 +432,15 @@ def test_frustum_whose_dilation_overflows_exits_1(capsys, argv):
     assert "h = " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["frustum3d:", "frustum2d:x",
+                                  "frustum3d:nan", "frustum2d:-inf"])
+def test_frustum_text_that_is_no_height_exits_1(capsys, name):
+    code, out, err = run(capsys, "body", "--body", name)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "'h'" in err
+
+
 def test_body_refuses_a_reflex_floor(capsys, tmp_path):
     path = tmp_path / "reflex.json"
     path.write_text(json.dumps({"kind": "prism", "floor": [
@@ -404,3 +467,108 @@ def test_quadrature_top_without_a_top_function_exits_1(capsys, top):
     code, _, err = run(capsys, "quadrature", "--top", top, "--n", "3")
     assert code == 1
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Any argv from the subcommands' own flags, with any JSON descriptor, exits 0,
+# 1 or 2; exit 1 prints one error line, and JSON output is strict JSON
+
+_ANY = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 400, 10 ** 400),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=10)
+_NUMBER = st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.floats(),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 1e300,
+                                     -1e300, 5e-324, True, "1"]))
+_POINT = st.lists(_NUMBER, min_size=2, max_size=3)
+_VALUE = st.one_of(_NUMBER, _POINT, st.lists(_POINT, max_size=4), _ANY)
+_BUILTIN = st.one_of(
+    st.sampled_from(["triangle", "square", "parabola", "mountain2d",
+                     "mountain3d", "prism3d", "tetrahedron", "nope"]),
+    st.builds("{}:{}".format, st.sampled_from(["frustum2d", "frustum3d"]),
+              st.one_of(st.floats().map(repr), st.text(max_size=3))))
+_SUITES = ["prism_bounds", "ccsf", "dominance", "layer_concavity",
+           "tetra_sandwich", "w_formula", "mountain_mixture", "conjecture",
+           "nope"]
+
+
+def _descriptor(draw):
+    """A body or top descriptor of each kind, with a floor of any numbers,
+    and most often one key's value, or an extra key, drawn from any JSON."""
+    top = {"kind": "pwl", "knots": [[["0", "1"], ["0", "1"]],
+                                    [["1", "2"], ["1", "1"]],
+                                    [["1", "1"], [draw(_NUMBER), "1"]]]}
+    floor = draw(st.lists(st.lists(_NUMBER, min_size=2, max_size=2),
+                          min_size=3, max_size=5))
+    mountain = {"kind": "mountain", "dimension": 3, "floor": floor,
+                "apex": [0.25, 0, 3]}
+    prism = {"kind": "prism", "dimension": 3, "floor": floor}
+    desc = draw(st.sampled_from([
+        top, {"kind": "quadratic"},
+        {"kind": "subprism2d", "dimension": 2, "top": top},
+        mountain, mountain, prism, prism,
+        {"kind": "frustum", "dimension": 3, "h": 0.5, "floor": floor},
+        {"kind": "frustum", "dimension": 2, "h": 1.5},
+        {"kind": "tetrahedron", "dimension": 3}]))
+    key = draw(st.sampled_from([*desc, "extra", None, None, None]))
+    return desc if key is None else {**desc, key: draw(_VALUE)}
+
+
+def _count(lo, hi):
+    """A count flag's value, most often in [lo, hi], else below lo."""
+    return st.one_of(*[st.integers(lo, hi)] * 7, st.integers(-3, lo - 1)).map(str)
+
+
+def _argv(draw, path):
+    """argv of a random subcommand, with each flag in range or out of it;
+    a descriptor file is at path."""
+    sub = draw(st.sampled_from(["exact", "verify", "quadrature", "quadrature",
+                                *["estimate", "body"] * 3]))
+    fmt = ["--format", draw(st.sampled_from(["json", "csv"]))]
+    body = draw(st.one_of(st.just(path), st.just(path), st.just(path), _BUILTIN))
+    seed = ["--seed", draw(st.integers(-1, 2 ** 70).map(str))]
+    if sub == "exact":
+        return ["exact", "--seq", draw(st.sampled_from(SEQUENCE_NAMES + ("nope",))),
+                "--n", draw(_count(0, 30)), *fmt]
+    if sub == "estimate":
+        argv = ["estimate", "--estimator",
+                draw(st.sampled_from(["q", "q", "q", "no-floor", "q2-height",
+                                      "beta1", "beta2", "fradius"])),
+                "--n", draw(_count(0, 6)), "--samples", draw(_count(1, 2000)),
+                "--workers", draw(_count(1, 2)), *seed, *fmt]
+        return argv + (["--body", body] if draw(st.integers(0, 7)) else [])
+    if sub == "quadrature":
+        top = draw(st.one_of(st.just(f"pwl:{path}"), st.just(f"pwl:{path}"),
+                             _BUILTIN))
+        return ["quadrature", "--top", top, "--n", draw(_count(0, 6)),
+                "--budget", draw(_count(1, 10 ** 6)), *fmt]
+    if sub == "verify":
+        return ["verify", "--suite", draw(st.sampled_from(_SUITES)),
+                "--trials", draw(_count(0, 3)),
+                "--samples", draw(_count(1, 2000)), *seed]
+    return ["body", "--body", body, "--levels", draw(_count(1, 20)), *fmt]
+
+
+def _strict(constant):
+    raise ValueError(f"stdout holds {constant}, which is not strict JSON")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exits_0_1_or_2_on_any_input(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_descriptor.json"
+    path.write_text(json.dumps(_descriptor(data.draw)))
+    argv = _argv(data.draw, str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err and out == ""
+    if code == 0 and argv[0] != "verify" and "csv" not in argv:
+        json.loads(out, parse_constant=_strict)

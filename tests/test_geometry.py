@@ -54,10 +54,10 @@ def test_orient3_on_the_floor_plane_skips_fractions(monkeypatch):
     for pts in floor_sets + lifted:
         assert geo.orient3(*pts) == _fraction_orient3(*pts)
 
-    def no_fractions(p):
+    def no_fractions(*args):
         raise AssertionError("orient3 took the Fraction path")
 
-    monkeypatch.setattr(geo, "_frac", no_fractions)
+    monkeypatch.setattr(geo, "Fraction", no_fractions)
     for pts in floor_sets:
         assert geo.orient3(*pts) == 0
 

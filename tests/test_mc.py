@@ -504,6 +504,34 @@ def test_worker_count_bit_determinism():
     assert h1.estimate == h4.estimate
 
 
+def test_runner_starts_no_more_threads_than_chunks(monkeypatch):
+    built = []
+
+    class Recording:
+        """Stands in for ThreadPoolExecutor: records max_workers and runs
+        the chunks in this thread."""
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+    body = builtin_body("triangle")
+    one = mc.estimate_Q(body, 3, 1_000, seed=7, workers=64)
+    assert built == [] and (one.stats.n_chunks, one.stats.workers) == (1, 64)
+    two = mc.estimate_Q(body, 3, 2_000, seed=7, workers=64, chunk_size=1_000)
+    assert built == [2] and (two.stats.n_chunks, two.stats.workers) == (2, 64)
+    serial = mc.estimate_Q(body, 3, 2_000, seed=7, chunk_size=1_000)
+    assert two.n_success == serial.n_success
+
+
 # float.hex of estimate_Q2_height's estimate and std_error at seed 7, 120k
 # samples in chunks of 50k, recorded before the height estimator moved onto
 # the shared chunk runner
