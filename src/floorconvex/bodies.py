@@ -56,7 +56,8 @@ def _knot_part(key, v):
 
 
 def _choice(key, v, options):
-    if v not in options:
+    """v, one of options in type and value: 3.0 is not 3."""
+    if not any(type(v) is type(o) and v == o for o in options):
         raise ValueError(f"{key} must be {' or '.join(map(repr, options))}, not {v!r}")
     return v
 
@@ -77,6 +78,8 @@ def normalize_floor_polygon(vertices):
     ValueError unless the vertices, sorted by angle around their mean, form
     a convex polygon whose scaled area is 1 in floats.
     """
+    if not isinstance(vertices, list | tuple | np.ndarray):
+        raise ValueError(f"'floor' must be a list of [x, y] vertices, not {vertices!r}")
     pts = [tuple(map(float, _point(f"'floor'[{i}]", v))) for i, v in enumerate(vertices)]
     if len(pts) < 3:
         raise ValueError("'floor' needs at least 3 vertices")
@@ -296,7 +299,11 @@ def _top_to_json(top: TopFunction) -> dict:
 
 
 def _top_from_json(d: dict) -> TopFunction:
+    if not isinstance(d, dict):
+        raise ValueError(f"'top' must be a JSON object, not {d!r}")
     kind = _choice("'kind'", d["kind"], ("quadratic", "pwl"))
+    if kind == "pwl" and not isinstance(d["knots"], list):
+        raise ValueError(f"'knots' must be a list of [x, y] knots, not {d['knots']!r}")
     top = QuadraticTop() if kind == "quadratic" else PiecewiseLinearTop(tuple(
         _point(f"'knots'[{i}]", k, _knot_part) for i, k in enumerate(d["knots"])))
     for key in d:
@@ -337,7 +344,8 @@ def _build_body(d: dict) -> BodyWithFloor:
         return SubPrism2D(_top_from_json(d["top"]))
     if kind == "mountain":
         x, y, *z = _point("'apex'", d.get("apex", [0.0, 0.0]), sizes=(2, 3))
-        _choice("'apex'[2], the unit-volume mountain's height,", z[0] if z else 3, (3,))
+        _choice("'apex'[2], the unit-volume mountain's height,",
+                float(z[0]) if z else 3.0, (3.0,))
         return mountain3d(d.get("floor"), apex_xy=(x, y))
     if kind == "prism":
         return prism3d(d.get("floor"))

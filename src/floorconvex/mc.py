@@ -7,7 +7,11 @@ is split into fixed-size chunks, each with its own random stream keyed by
 (seed, chunk index), and per-chunk tallies are merged in chunk order, so
 results are bit-identical for any worker count.  Within a chunk the
 predicates run on row slices of _SLICE; each slice takes its margin from its
-own rows, so the success counts do not depend on the slicing.
+own rows, so the success counts do not depend on the slicing.  Each row's
+points are ordered by _order, a sorting network over whole columns of
+index-tagged keys: keys more than a few ulps apart come out in value order,
+closer ones in index order, and every predicate either certifies the order
+it walks or is exact for any order.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .samplers import (RngStream, floor_radius_batch, sample_body,
                        sample_density_g1, sample_density_g2, sample_heights)
 
 _EPS = np.finfo(float).eps
+# the largest scale at which 256 scale^3 is finite, so that no value of the
+# 3D predicate overflows
+_SCALE_3D = 2.0 ** 338
 DEFAULT_CHUNK = 250_000
 # rows per predicate call: the per-trial cost of the array passes grows
 # once their temporaries no longer fit in cache
@@ -124,14 +131,18 @@ def convex_position_verdicts_2d(pts: np.ndarray,
     exact predicate rejects such a point, so the trial fails).  In every
     other row each point p is seen from m at an angle in (0, pi), and the key
     (m_x - p_x)/p_y = -cot(angle) orders the points by angle.  Each row is
-    sorted by the key (stable) and walked f1 -> sorted points -> f0.
+    ordered by the key (_order: by value, but by index within a few ulps)
+    and walked f1 -> ordered points -> f0.
 
-    Order certificate.  For consecutive sorted points p, q the step
+    Order certificate.  For consecutive ordered points p, q the step
     (p - m) x (q - m) is positive exactly when angle(p) < angle(q).  If
     every step is certified positive, the float order is the exact strict
-    angular order; otherwise the row is ambiguous.  So a rounded key that
-    misorders a near-tie, or two points on one ray from m (a step of
-    exactly 0), never gives a certified verdict.
+    angular order, whatever permutation _order gave; otherwise the row is
+    ambiguous.  So a rounded key that misorders a near-tie, a pair of close
+    keys left in index order, or two points on one ray from m (a step of
+    exactly 0), never gives a certified verdict.  A point at the floor
+    midpoint has the key 0/0 = NaN; _order still gives a permutation, and
+    the row is ambiguous for its height 0.
 
     Walk.  In strict angular order the n + 2 points are in strictly convex
     position iff the walk turns strictly left at every sample point.  If it
@@ -167,8 +178,10 @@ def convex_position_verdicts_2d(pts: np.ndarray,
 
 def _centroid_verdicts(pts):
     """Floorless verdicts: the closed walk of each row in angular order
-    around its centroid c, rounded, so a stored point.  The order comes
-    from arctan2, but only what is certified below is relied on.
+    around its centroid c, rounded, so a stored point: the sum of the n
+    points, in index order, divided by n.  The order comes from _order on
+    the arctan2 of the rounded differences, but only what is certified
+    below is relied on, so it may be any permutation.
 
     Order certificate.  Every angular step (p_j - c) x (p_j+1 - c), the last
     point to the first included, must be certified positive, and exactly one
@@ -198,10 +211,9 @@ def _centroid_verdicts(pts):
     coordinates, within the margin of convex_position_verdicts_2d.
     """
     n = pts.shape[1]
-    center = pts.mean(axis=1)
-    x, y = _columns(pts, np.argsort(np.arctan2(pts[..., 1] - center[:, 1:],
-                                               pts[..., 0] - center[:, :1]),
-                                    axis=1))
+    center = functools.reduce(np.add, (pts[:, j] for j in range(n))) / n
+    x, y = _columns(pts, _order(np.arctan2(pts[..., 1] - center[:, 1:],
+                                           pts[..., 0] - center[:, :1])))
     dx = [b - a for a, b in zip([x[-1], *x], [*x, x[0]])]
     dy = [b - a for a, b in zip([y[-1], *y], [*y, y[0]])]
     margin = _margin(np.abs(pts).max())
@@ -213,13 +225,79 @@ def _centroid_verdicts(pts):
     return out
 
 
+@functools.cache
+def _network(n: int) -> tuple:
+    """Batcher's merge exchange for n keys (Knuth, TAOCP vol. 3, Algorithm
+    5.2.2M): comparators (i, j), i < j, that sort any n keys when each
+    puts the smaller of keys i and j at i."""
+    pairs = []
+    t = (n - 1).bit_length()
+    p = 1 << t >> 1
+    while p > 0:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(pairs)
+
+
+_MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
+
+
+def _order(key: np.ndarray) -> np.ndarray:
+    """Each row's point order as an (n, rows) int array: column r is a
+    permutation of range(n) that sorts row r of the (rows, n) key.
+
+    Tagged keys.  Each key, plus 0.0 so that -0.0 is +0.0, is read as the
+    int64 of its bits and mapped to an int of the same order (a negative
+    float's magnitude bits are flipped).  Its low b = ceil(log2 n) bits are
+    then replaced by the point's index j.  The n tagged keys of a row are
+    distinct, so every sort of them gives one permutation: keys in
+    different buckets of 2^b ulps come out by value, and keys in one bucket,
+    exact ties included, by index, the stable order.  NaN and +-inf keys
+    are tagged too, so their rows still get a permutation.
+
+    The sort.  _network(n), each comparator one np.minimum and one
+    np.maximum of two columns over all rows; the index rides in the low
+    bits, so no payload moves.
+
+    So two keys a few ulps apart may come out in index order, not value
+    order.  The predicates allow for that: the floor and centroid walks
+    certify the order they walk, the chain checks that its heights do not
+    decrease, and the 3D fan test is exact for any order.
+    """
+    rows, n = key.shape
+    low = (1 << (n - 1).bit_length()) - 1
+    buf = np.empty((n + 1, rows))
+    np.add(key.T, 0.0, out=buf[:n])
+    tagged = buf.view(np.int64)[:n]
+    tagged ^= (tagged >> 63) & _MAGNITUDE
+    tagged &= ~low
+    tagged |= np.arange(n)[:, None]
+    *w, spare = buf.view(np.int64)
+    for i, j in _network(n):
+        a = w[i]
+        np.minimum(a, w[j], out=spare)
+        np.maximum(a, w[j], out=w[j])
+        w[i], spare = spare, a
+    order = np.empty((n, rows), dtype=np.int64)
+    for j, col in enumerate(w):
+        np.bitwise_and(col, low, out=order[j])
+    return order
+
+
 def _columns(pts, order):
     """Per coordinate, an (n, rows) array whose j-th row holds each row's
-    j-th point in order (rows, n), contiguous, so that each later pass over
-    a point is elementwise over the rows."""
+    order[j]-th point, contiguous, so that each later pass over a point is
+    elementwise over the rows.  The points are taken whole, as records of
+    dim floats, in one take."""
     rows, n, dim = pts.shape
-    flat = dim * (order + n * np.arange(rows)[:, None]).T
-    return [pts.reshape(-1).take(flat + k) for k in range(dim)]
+    taken = pts.reshape(rows * n, dim).take(
+        order + np.arange(0, rows * n, n), axis=0)
+    return [taken[..., k].copy() for k in range(dim)]
 
 
 def _margin(s: float) -> float:
@@ -244,13 +322,14 @@ def _min_cross(vx, vy):
 
 
 def _walk_verdicts(pts, key, anchors, hub=None):
-    """Verdicts of the walk through anchors[0], each row's points sorted by
-    key (stable) and anchors[1] when given: the smallest turn at a sample
-    point, certified.  With hub, the steps (p - (hub, 0)) x (q - (hub, 0))
-    of consecutive sorted points must be certified positive too, else the
+    """Verdicts of the walk through anchors[0], each row's points in the
+    order _order gives for key, and anchors[1] when given: the smallest turn
+    at a sample point, certified.  With hub, the steps (p - (hub, 0)) x
+    (q - (hub, 0)) of consecutive walked points must be certified positive
+    too; without it, their second coordinates must not decrease.  Else the
     row is -1."""
     rows, n = key.shape
-    x, y = _columns(pts, np.argsort(key, axis=1, kind="stable"))
+    x, y = _columns(pts, _order(key))
     first, *last = anchors
     cx = [first[0], *x, *(a[0] for a in last)]
     cy = [first[1], *y, *(a[1] for a in last)]
@@ -261,7 +340,9 @@ def _walk_verdicts(pts, key, anchors, hub=None):
     margin = _margin(max(np.abs(pts).max(),
                          *map(abs, itertools.chain(*anchors))))
     out = _certify(_min_cross(dx, dy), margin)
-    if hub is not None and n > 1:
+    if hub is None:
+        out[(y[1:] < y[:-1]).any(axis=0)] = -1
+    elif n > 1:
         out[_min_cross(x - hub, y) <= margin] = -1
     return out
 
@@ -272,14 +353,18 @@ def chain_verdicts(pts: np.ndarray) -> np.ndarray:
     Rows are sorted by the second coordinate; the walk from the anchor
     _ANCHOR through the sorted points must turn strictly left at every
     interior point.  This is the 2D functional whose success probability
-    lower-bounds the 3D convex-position probabilities.  The sort is stable, as in
-    _exact_chain, so tied heights are walked in the same order by both.
+    lower-bounds the 3D convex-position probabilities.
+
+    Order.  _order leaves heights a few ulps apart in index order, so a row
+    whose walked heights decrease anywhere is -1.  Every other row is walked
+    in height order, and tied heights, which _order keeps in index order,
+    in the stable order of _exact_chain: both walk the same points in the
+    same order.
 
     Margin: the same bound as in convex_position_verdicts_2d, with S at least
     1 so that it covers the anchor (1, 0): each turn's cross product is
-    within 16.01 eps S^2 of the exact one, and the sort compares stored
-    values exactly, so every certified verdict is the exact verdict of the
-    exact walk.
+    within 16.01 eps S^2 of the exact one, so every certified verdict is the
+    exact verdict of the exact walk.
     """
     return _walk_verdicts(pts, pts[..., 1], [_ANCHOR])
 
@@ -373,25 +458,35 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     simplex certifies x inside, and < -margin iff every simplex certifies
     it outside.  A row succeeds when every point is certified outside every
     simplex of its fan, fails when some point is certified inside one, and
-    is left ambiguous (-1) otherwise.  Each row's points are tested lowest
-    first: the lowest point is the one most often inside the hull, so most
-    failing rows leave after one point.  Scale and margin come from the
-    rows of the call, so when the runner passes a slice of a chunk they are
-    a valid S for each of its rows: certified verdicts are exact whatever
-    the slicing, and only which rows are left ambiguous may depend on it.
+    is left ambiguous (-1) otherwise.  Each row's points are tested in the
+    order _order gives for their heights, lowest first up to heights a few
+    ulps apart: the lowest point is the one most often inside the hull, so
+    most failing rows leave after one point.  The fan test is exact for any
+    order, so the order decides only which rows leave early.  Scale and
+    margin come from the rows of the call, so when the runner passes a
+    slice of a chunk they are a valid S for each of its rows: certified
+    verdicts are exact whatever the slicing, and only which rows are left
+    ambiguous may depend on it.
+
+    Overflow.  The bounds above hold only while no value overflows.  Every
+    value computed is below 193 scale^3, so a call whose scale exceeds
+    _SCALE_3D, where 256 scale^3 would no longer be finite, computes nothing
+    and leaves every row ambiguous for the exact predicate.
     """
     floor = geometry.convex_floor([tuple(map(float, f)) for f in floor_xyz])
     scale = max(pts.max(), -pts.min(), np.abs(floor_xyz).max()) + 1.0
-    margin = 2048.0 * _EPS * scale ** 3
     rows, n, _ = pts.shape
+    if not scale <= _SCALE_3D:
+        return np.full(rows, -1, dtype=np.int8)
+    margin = 2048.0 * _EPS * scale ** 3
     fan = geometry.floor_fan(len(floor), n - 1)
     (qx, qy, _), *rest = floor
     # fan index j < kf: floor vertex f[j]; j >= kf: sample point p[j - kf];
     # all relative to q0, the floor's heights exactly 0
     f = [(fx - qx, fy - qy) for fx, fy, _ in rest]
     kf = len(f)
-    # rel[k][j]: coordinate k of each row's j-th lowest point
-    rel = _columns(pts, np.argsort(pts[..., 2], axis=1, kind="stable"))
+    # rel[k][j]: coordinate k of each row's j-th point, by height
+    rel = _columns(pts, _order(pts[..., 2]))
     rel[0] -= qx
     rel[1] -= qy
     # det[f_a, f_b, (0, 0, 1)] for the floor pairs of the fan
@@ -445,7 +540,8 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
         alive = alive[top < -margin]
         if alive.size == 0:
             break
-    verdict[(rel[2] <= 0).any(axis=0)] = -1
+    if rel[2].min() <= 0:
+        verdict[(rel[2] <= 0).any(axis=0)] = -1
     return verdict
 
 

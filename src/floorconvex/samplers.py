@@ -127,7 +127,10 @@ def _heights(body: LinearLayerBody, u: np.ndarray) -> np.ndarray:
 def sample_heights(body: BodyWithFloor, rng: np.random.Generator, n: int) -> np.ndarray:
     """Heights of n uniform points, without the horizontal coordinates."""
     if isinstance(body, SubPrism2D):
-        return sample_body(body, rng, n)[:, 1]
+        top = body.top
+        return _map_uniforms(rng, 2, n,
+                             lambda u: [top.values(top.sample_x(u[0])) * u[1]],
+                             1)[:, 0]
     return _map_uniforms(rng, 1, n, lambda u: [_heights(body, u[0])], 1)[:, 0]
 
 

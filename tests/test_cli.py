@@ -296,6 +296,17 @@ def test_quadrature_pwl_file(capsys, tmp_path):
      "'extra'"),
     (("body", "--body", ""), {"kind": "frustum", "dimension": "3", "h": 0.5},
      "'dimension'"),
+    # a float dimension is refused for every kind, not only where it breaks
+    (("body", "--body", ""), {"kind": "frustum", "dimension": 3.0, "h": 0.5},
+     "'dimension'"),
+    (("body", "--body", ""), {"kind": "frustum", "dimension": 2.0, "h": 0.5},
+     "'dimension'"),
+    (("body", "--body", ""), {"kind": "prism", "floor": 5}, "'floor'"),
+    (("body", "--body", ""), {"kind": "subprism2d", "top": []}, "'top'"),
+    (("quadrature", "--n", "3", "--top", "pwl:"), {"kind": "pwl", "knots": 5},
+     "'knots'"),
+    (("body", "--body", ""), {"kind": "mountain", "dimension": 3.0},
+     "'dimension'"),
 ])
 def test_malformed_descriptor_exits_1(capsys, tmp_path, argv, desc, says):
     path = tmp_path / "desc.json"

@@ -9,7 +9,7 @@ import pytest
 from floorconvex import geometry as geo
 from floorconvex import mc
 from floorconvex import sequences as sq
-from floorconvex.bodies import builtin_body, mountain3d
+from floorconvex.bodies import body_from_json, builtin_body, mountain3d
 from floorconvex.samplers import RngStream, sample_body
 from floorconvex.topfunctions import q2_exact_subprism
 
@@ -187,6 +187,49 @@ def test_chain_verdicts_walk_tied_heights_as_the_exact_chain():
     for verdict, trial in zip(v, pts[ties]):
         if verdict != -1:
             assert bool(verdict) == mc._exact_chain(trial)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
+def test_order_is_the_stable_argsort(n):
+    rng = np.random.default_rng(n)
+    rows = 3000
+    signed = rng.choice([-0.0, 0.0, -1.5, 2.0], (rows, n))
+    assert np.signbit(signed).any() and (signed == 0).any()
+    for key in (rng.normal(size=(rows, n)),
+                np.round(rng.uniform(-1, 1, (rows, n)) * 8) / 8,
+                signed,
+                rng.integers(-3, 4, (rows, n))):
+        assert np.array_equal(mc._order(key),
+                              np.argsort(key, axis=1, kind="stable").T)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_order_permutes_rows_with_nan_and_infinite_keys(n):
+    rng = np.random.default_rng(1)
+    key = rng.choice([np.nan, -np.nan, np.inf, -np.inf, 0.0, 1.0], (500, n))
+    assert np.array_equal(np.sort(mc._order(key), axis=0),
+                          np.broadcast_to(np.arange(n)[:, None], (n, 500)))
+
+
+def test_chain_leaves_heights_in_index_order_ambiguous():
+    # heights one ulp apart share a bucket of _order's tagged keys, so the
+    # higher point, first by index, is walked first; the chain must not
+    # certify that walk
+    low, high = 0.5, np.nextafter(0.5, 1.0)
+    for rest in ([], [(0.2, 0.75)], [(0.9, 0.125), (0.2, 0.75), (0.1, 0.9)]):
+        pts = np.array([[(0.3, high), (0.6, low), *rest]])
+        assert mc.chain_verdicts(pts)[0] == -1
+        assert (mc._resolve(pts, np.array([-1]), mc._exact_chain)
+                == mc._exact_chain(pts[0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_3d_estimate_of_extreme_coordinates_warns_of_nothing():
+    # no float value of the 3D predicate may overflow: at this scale every
+    # trial goes to the exact check, with no numpy warning
+    body = body_from_json({"kind": "mountain", "apex": [1e300, -1e300]})
+    r = mc.estimate_Q(body, 6, 200, seed=0)
+    assert r.stats.n_ambiguous == 200
 
 
 def test_predicates_handle_crafted_degeneracies():
