@@ -440,7 +440,8 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     s * e_k > margin certifies x inside the simplex (a failure), and some
     s * e_k < -margin certifies x outside it.  The computed e0 + e1 + e2 +
     e3 is d0 up to the 216 eps S^3 of the subtractions, so all s * e_k >
-    margin forces |d0| > 3 margin: that test needs no check of d0.
+    margin, for s = 1 or -1, forces s * d0 > 3 margin: that test needs no
+    check of d0, and holds only when s is the sign of d0.
 
     Flat simplices.  When |d0| <= margin the simplex may be flat: its e_k no
     longer give barycentric coordinates, so it never certifies "inside",
@@ -468,81 +469,176 @@ def convex_position_verdicts_3d(pts: np.ndarray, floor_xyz: np.ndarray) -> np.nd
     verdicts are exact whatever the slicing, and only which rows are left
     ambiguous may depend on it.
 
+    Floor pyramids.  Most failing rows fail because a point lies in a
+    pyramid (q0, f_a, f_a+1, p) of a higher point p.  So _pyramids first
+    folds, over every row of the call, each point's values for the
+    pyramids whose apex comes after it in the order; a row where one of
+    these folds is > margin fails.  The loop then tests only the other
+    rows, and starts each point's fold from its pyramid fold in place of
+    those simplices.  A pyramid has d0 = z_p fz_a, with fz_a = det[f_a,
+    f_a+1, (0, 0, 1)] a number, so _pyramids takes s as the sign of fz_a,
+    and s = -1 only negates, which is exact.  In a row whose heights are
+    positive that is the sign of d0 wherever d0 is not flat, and a flat
+    simplex's value does not depend on s, so every value is the one the
+    sign of d0 gives; a row with a height <= 0 ends ambiguous whatever its
+    values.
+
+    Rising heights.  When every row's heights strictly increase along the
+    order, every vertex of a simplex whose sample points all come before x
+    is strictly lower than x (the floor is at 0, and x is above the first
+    point, which is above 0 unless the row ends ambiguous), so x is
+    outside it, exactly, and the loop leaves it out; the highest point
+    then meets no simplex.  Those are the only simplices left out, so by
+    the fan a certified verdict is still exact.  Against the full fan of
+    every point, a row it certifies gets the same verdict: a simplex left
+    out never holds x, and a fold with fewer terms stays < -margin.  A row
+    it leaves ambiguous may now be decided, so the ambiguous rows, and the
+    exact checks, can only become fewer.
+
     Overflow.  The bounds above hold only while no value overflows.  Every
     value computed is below 193 scale^3, so a call whose scale exceeds
     _SCALE_3D, where 256 scale^3 would no longer be finite, computes nothing
     and leaves every row ambiguous for the exact predicate.
     """
-    floor = geometry.convex_floor([tuple(map(float, f)) for f in floor_xyz])
-    scale = max(pts.max(), -pts.min(), np.abs(floor_xyz).max()) + 1.0
     rows, n, _ = pts.shape
-    if not scale <= _SCALE_3D:
+    frame = _frame(pts, floor_xyz)
+    if frame is None:
         return np.full(rows, -1, dtype=np.int8)
-    margin = 2048.0 * _EPS * scale ** 3
-    fan = geometry.floor_fan(len(floor), n - 1)
-    (qx, qy, _), *rest = floor
+    rel, f, fz, margin = frame
+    kf = len(f)
+    tops, fails = _pyramids(rel, f, fz, margin)
+    verdict = np.zeros(rows, dtype=np.int8)
+    alive = np.flatnonzero(~fails)
     # fan index j < kf: floor vertex f[j]; j >= kf: sample point p[j - kf];
     # all relative to q0, the floor's heights exactly 0
-    f = [(fx - qx, fy - qy) for fx, fy, _ in rest]
-    kf = len(f)
-    # rel[k][j]: coordinate k of each row's j-th point, by height
-    rel = _columns(pts, _order(pts[..., 2]))
-    rel[0] -= qx
-    rel[1] -= qy
-    # det[f_a, f_b, (0, 0, 1)] for the floor pairs of the fan
-    fz = {(a, b): f[a][0] * f[b][1] - f[a][1] * f[b][0]
-          for a, b, _ in fan if b < kf}
-    pairs = {bc for a, b, c in fan for bc in ((a, b), (a, c), (b, c))}
-    verdict = np.ones(rows, dtype=np.int8)
-    alive = np.arange(rows)
+    fan = geometry.floor_fan(kf + 1, n - 1)
+    rising = bool((rel[2][1:] > rel[2][:-1]).all())
     for i in range(n):
-        cur = rel if alive.size == rows else [r[:, alive] for r in rel]
+        if alive.size == 0:
+            break
+        cur = rel if alive.size == rows else [r.take(alive, axis=1)
+                                               for r in rel]
         x = [r[i] for r in cur]
         p = [tuple(r[j] for r in cur) for j in range(n) if j != i]
-        # the first two coordinates of p x x, and p x p' for the pairs
-        px = [(v[1] * x[2] - v[2] * x[1], v[2] * x[0] - v[0] * x[2])
-              for v in p]
+        # tops[i] holds the pyramids with the apex after x; when the heights
+        # rise in every row, a simplex with no point after x is below it
+        todo = [(a, b, c) for a, b, c in fan
+                if (b >= kf or c - kf < i) and (c - kf >= i or not rising)]
+        pairs = {bc for a, b, c in todo for bc in ((a, b), (a, c), (b, c))}
+        # the first two coordinates of p x x for the points paired with a
+        # floor vertex, and p x p' for the point pairs
+        px = {}
+        for c in {c for b, c in pairs if b < kf <= c}:
+            v = p[c - kf]
+            px[c] = (v[1] * x[2] - v[2] * x[1], v[2] * x[0] - v[0] * x[2])
         pp = {(b, c): _cross(p[b - kf], p[c - kf])
               for b, c in pairs if b >= kf}
 
         def x_det(b, c):        # det[x, b, c]
             if c < kf:
-                return x[2] * fz[b, c]
+                return x[2] * fz[b]
             if b < kf:
-                u = px[c - kf]
+                u = px[c]
                 return f[b][0] * u[0] + f[b][1] * u[1]
             return _dot(x, pp[b, c])
 
         xd = {bc: x_det(*bc) for bc in pairs}
-        top = np.full(alive.size, -np.inf)
-        for a, b, c in fan:
+        top = tops[i] if alive.size == rows else tops[i].take(alive)
+        for a, b, c in todo:
             if b < kf:
-                d0 = p[c - kf][2] * fz[a, b]
+                d0 = p[c - kf][2] * fz[a]
             elif a < kf:
                 u = pp[b, c]
                 d0 = f[a][0] * u[0] + f[a][1] * u[1]
             else:
                 d0 = _dot(p[a - kf], pp[b, c])
             e1, e2n, e3 = xd[b, c], xd[a, c], xd[a, b]     # e2 = -e2n
-            e0 = d0 - e1 + e2n - e3
-            s = np.sign(d0)
-            lo = np.minimum(np.minimum(s * e0, s * e1),
-                            np.minimum(s * e3, -(s * e2n)))
+            e = d0 - e1 + e2n - e3, e1, e2n, e3
+            lo = _least(np.sign(d0), *e)
             if np.abs(d0).min() <= margin:
-                flat = np.abs(d0) <= margin
-                hi = np.maximum(np.maximum(np.abs(e0), np.abs(e1)),
-                                np.maximum(np.abs(e2n), np.abs(e3)))
-                lo[flat] = np.where(hi > np.abs(d0) + margin,
-                                    -np.inf, 0.0)[flat]
+                _flat(lo, d0, np.abs(d0) <= margin, e, margin)
             np.maximum(top, lo, out=top)
         verdict[alive] = np.where(top > margin, 0,
                                   np.where(top < -margin, 1, -1))
         alive = alive[top < -margin]
-        if alive.size == 0:
-            break
     if rel[2].min() <= 0:
         verdict[(rel[2] <= 0).any(axis=0)] = -1
     return verdict
+
+
+def _frame(pts, floor_xyz):
+    """What convex_position_verdicts_3d computes once per call: each point
+    coordinate relative to q0 as an (n, rows) array, rows ordered by
+    _order on the heights; the other floor vertices f relative to q0; fz_a
+    = det[f_a, f_a+1, (0, 0, 1)] for each floor edge that misses q0; and
+    the margin.  None when the scale exceeds _SCALE_3D."""
+    floor = geometry.convex_floor([tuple(map(float, v)) for v in floor_xyz])
+    scale = max(pts.max(), -pts.min(), np.abs(floor_xyz).max()) + 1.0
+    if not scale <= _SCALE_3D:
+        return None
+    (qx, qy, _), *rest = floor
+    f = [(vx - qx, vy - qy) for vx, vy, _ in rest]
+    # rel[k][j]: coordinate k of each row's j-th point, by height
+    rel = _columns(pts, _order(pts[..., 2]))
+    rel[0] -= qx
+    rel[1] -= qy
+    fz = [f[a][0] * f[a + 1][1] - f[a][1] * f[a + 1][0]
+          for a in range(len(f) - 1)]
+    return rel, f, fz, 2048.0 * _EPS * scale ** 3
+
+
+def _pyramids(rel, f, fz, margin):
+    """Per point x, in the order of rel, the largest value the loop of
+    convex_position_verdicts_3d folds in over the pyramids (q0, f_a,
+    f_a+1, p) with p after x, over every row (-inf for the last point),
+    with s the sign of fz_a, a number; and the rows where one of these is
+    > margin, which fail."""
+    n, rows = rel[2].shape
+    # d0 = z_p fz_a per point p and edge a, and its rows within the margin
+    d0 = [[rel[2][j] * z for z in fz] for j in range(n)]
+    flat = [[np.abs(d) <= margin if np.abs(d).min() <= margin else None
+             for d in dj] for dj in d0]
+    tops = []
+    for i in range(n):
+        x = [r[i] for r in rel]
+        e3 = [x[2] * z for z in fz]
+        top = np.full(rows, -np.inf)
+        for j in range(i + 1, n):
+            v = [r[j] for r in rel]
+            u = (v[1] * x[2] - v[2] * x[1], v[2] * x[0] - v[0] * x[2])
+            xf = [fb[0] * u[0] + fb[1] * u[1] for fb in f]
+            for a, z in enumerate(fz):
+                e1, e2n = xf[a + 1], xf[a]
+                e = d0[j][a] - e1 + e2n - e3[a], e1, e2n, e3[a]
+                lo = _least(np.sign(z), *e)
+                if flat[j][a] is not None:
+                    _flat(lo, d0[j][a], flat[j][a], e, margin)
+                np.maximum(top, lo, out=top)
+        tops.append(top)
+    return tops, functools.reduce(np.maximum, tops) > margin
+
+
+def _least(s, e0, e1, e2n, e3):
+    """The smallest of s e0, s e1, s e2 = -s e2n and s e3.  s is the sign
+    of d0, per row, or a number: then 1 and -1 need no products, as -1
+    only negates, which is exact."""
+    if np.ndim(s) or s == 0:
+        return np.minimum(np.minimum(s * e0, s * e1),
+                          np.minimum(s * e3, -(s * e2n)))
+    lo = np.negative(e2n)
+    fold = np.minimum if s > 0 else np.maximum
+    for e in (e3, e1, e0):
+        fold(lo, e, out=lo)
+    if s < 0:
+        np.negative(lo, out=lo)
+    return lo
+
+
+def _flat(lo, d0, flat, e, margin):
+    """Each flat row of lo, |d0| <= margin, set to -inf where some |e_k| >
+    |d0| + margin certifies x outside the simplex, and to 0 elsewhere."""
+    hi = functools.reduce(np.maximum, map(np.abs, e))
+    lo[flat] = np.where(hi > np.abs(d0) + margin, -np.inf, 0.0)[flat]
 
 
 # ---------------------------------------------------------------------------

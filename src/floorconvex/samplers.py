@@ -67,16 +67,28 @@ def _fan(polygon):
 
 def _fan_points(fan, u):
     """The two coordinates of the polygon points for the uniform rows u =
-    (U0, U1, U2): the triangle that Generator.choice(p=...) draws from U0 (a
-    right-sided search of the cdf), then (1 - r1) a + r1 ((1 - r2) b + r2 c)
-    with r1 = sqrt(U1), r2 = U2."""
+    (U0, U1, U2): the triangle that Generator.choice(p=...) draws from U0,
+    then (1 - r1) a + r1 ((1 - r2) b + r2 c) with r1 = sqrt(U1), r2 = U2.
+    choice takes the right-sided search of the cdf, which on a
+    nondecreasing cdf is the count of its entries <= U0; the last entry is
+    1 > U0, so it is left out of the count."""
     a, b, c, cdf = fan
     r1 = np.sqrt(u[1])
     r2 = u[2]
     s1, s2 = 1 - r1, 1 - r2
-    idx = cdf.searchsorted(u[0], side="right") if len(cdf) > 1 else 0
-    return [s1 * a[k] + r1 * (s2 * b[idx, k] + r2 * c[idx, k])
-            for k in range(2)]
+    idx = 0
+    if len(cdf) > 1:
+        idx = np.zeros(len(r2), dtype=np.intp)
+        for edge in cdf[:-1]:
+            idx += u[0] >= edge
+    out = []
+    for k in range(2):
+        t = s2 * b[:, k].take(idx)
+        t += r2 * c[:, k].take(idx)
+        t *= r1
+        t += s1 * a[k]
+        out.append(t)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Monte Carlo engine: predicates vs exact oracle, determinism, concordance."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -303,6 +304,80 @@ def test_3d_margin_leaves_rounding_decided_rows_ambiguous():
         v = mc.convex_position_verdicts_3d(pts, floor)
         assert (v == -1).mean() > 0.9
         assert np.array_equal(v[v != -1], want[v != -1])
+
+
+def _pyramid_fails(pts, floor):
+    """The rows that the floor-pyramid pass of convex_position_verdicts_3d
+    certifies as failures."""
+    return mc._pyramids(*mc._frame(pts, floor))[1]
+
+
+def _face_rows(rng, rows, size):
+    """Rows (p, x), x a rounded convex combination of a unit-square floor
+    edge's ends and the higher point p: on the face of p's pyramid up to
+    rounding, which decides whether x is a vertex."""
+    floor = size * np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    j = rng.integers(0, 4, rows)
+    p = size * rng.uniform([0.2, 0.2, 0.5], [0.8, 0.8, 1.0], (rows, 3))
+    w = rng.dirichlet([1, 1, 1], rows)
+    x = w[:, :1] * floor[j] + w[:, 1:2] * floor[(j + 1) % 4] + w[:, 2:] * p
+    return np.stack([p, x], axis=1), floor
+
+
+def test_pyramid_pass_certifies_only_failures():
+    # sampled rows of the 3D builtins and of a mountain whose descriptor
+    # lists its floor clockwise, 1/8-grid rows with tied heights, and rows
+    # on pyramid faces up to rounding, each with the floor in both
+    # orientations: every row the pass certifies fails exactly
+    cw = body_from_json({"kind": "mountain", "dimension": 3,
+                         "floor": PENTAGON[::-1], "apex": [0.2, -0.1]})
+    cases = []
+    for i, body in enumerate([builtin_body("tetrahedron"),
+                              builtin_body("mountain3d"),
+                              builtin_body("prism3d"), cw]):
+        fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
+        for n in (3, 4):
+            pts = sample_body(body, RngStream(40 + i, n).generator(),
+                              400 * n).reshape(400, n, 3)
+            cases.append((pts, fxyz))
+        grid = _grid_trials(lambda rng, k: sample_body(body, rng, k),
+                            400, 4, 50 + i)
+        cases.append((grid, fxyz))
+    rng = np.random.default_rng(8)
+    cases += [_face_rows(rng, 800, size) for size in (1.0, 1000.0)]
+    certified = 0
+    for pts, fxyz in cases:
+        for floor in (fxyz, fxyz[::-1]):
+            fails = _pyramid_fails(pts, floor)
+            certified += fails.sum()
+            for row in pts[fails]:
+                assert not geo.in_convex_position_with_floor_3d(
+                    [tuple(q) for q in row], floor)
+    assert certified > 0
+
+
+def test_pyramid_pass_decides_most_tetrahedron_rows():
+    body = builtin_body("tetrahedron")
+    pts = sample_body(body, RngStream(41).generator(),
+                      4000 * 4).reshape(4000, 4, 3)
+    fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
+    for floor in (fxyz, fxyz[::-1]):
+        assert _pyramid_fails(pts, floor).mean() >= 0.5
+
+
+def test_3d_fan_keeps_the_simplices_of_points_level_with_x():
+    # x midway between two points at its own height lies in their hull: a
+    # simplex with no point after x in the order is below x only when the
+    # heights rise strictly, so with tied heights none may be left out,
+    # whichever of the three comes last
+    body = builtin_body("prism3d")
+    fxyz = np.array([[x, y, 0.0] for (x, y) in body.floor])
+    level = [(-0.25, -0.25, 0.5), (0.25, 0.125, 0.5), (0.0, -0.0625, 0.5)]
+    pts = np.array(list(itertools.permutations(level)))
+    v = mc.convex_position_verdicts_3d(pts, fxyz)
+    assert not (v == 1).any()
+    assert mc._resolve(pts, v, geo.in_convex_position_with_floor_3d,
+                       fxyz) == 0
 
 
 def test_centroid_walk_leaves_near_ties_ambiguous():
